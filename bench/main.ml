@@ -84,20 +84,12 @@ let bench_parse =
 let routed_v4_bytes =
   lazy (Net.Packet.contents (Net.Flowgen.ipv4_udp Usecases.Base_l23.routed_v4_flow))
 
-(* packet-forward vs packet-forward-linked: the same booted base design
-   driven through the reference interpreter and through the load-time
-   linked fast path. The ratio is the cost of per-packet name resolution. *)
+(* packet-forward: the booted base design driven through [inject], the
+   reference interpreter — the baseline the compiled paths are measured
+   against. *)
 let bench_packet_path =
-  let session_device = lazy (Harness.Cases.boot_base ~linked:false ()) in
-  Test.make ~name:"ipbm/packet-forward"
-    (Staged.stage (fun () ->
-         let _, device = Lazy.force session_device in
-         let pkt = Net.Packet.create ~in_port:0 (Lazy.force routed_v4_bytes) in
-         ignore (Ipsa.Device.inject device pkt)))
-
-let bench_packet_path_linked =
   let session_device = lazy (Harness.Cases.boot_base ()) in
-  Test.make ~name:"ipbm/packet-forward-linked"
+  Test.make ~name:"ipbm/packet-forward"
     (Staged.stage (fun () ->
          let _, device = Lazy.force session_device in
          let pkt = Net.Packet.create ~in_port:0 (Lazy.force routed_v4_bytes) in
@@ -105,8 +97,8 @@ let bench_packet_path_linked =
 
 (* The telemetry disabled-cost contract: [boot_base ()] runs with the
    no-op sink (every instrument update is one dead branch), so
-   packet-forward-linked vs packet-forward+telemetry bounds what a live
-   registry costs on the fast path. *)
+   packet-forward vs packet-forward+telemetry bounds what a live
+   registry costs on the interpreter. *)
 let bench_packet_path_telemetry =
   let session_device =
     lazy (Harness.Cases.boot_base ~telemetry:(Telemetry.create ()) ())
@@ -154,7 +146,6 @@ let bench_packet_path_fdd =
 let packet_path_tests =
   [
     bench_packet_path;
-    bench_packet_path_linked;
     bench_packet_path_flat;
     bench_packet_path_fdd;
     bench_packet_path_telemetry;
@@ -190,7 +181,7 @@ let default_micro_tests () =
   @ List.map bench_incremental_flow Harness.Paper.cases
 
 (* Returns [(name, ns_per_run estimate)] so callers can post-process
-   (micro-smoke derives the linked-vs-interpreted speedup artifact). *)
+   (micro-smoke derives the compiled-vs-interpreted speedup artifact). *)
 let run_micro ?(limit = 200) ?(quota = 0.5) ?tests () =
   print_endline "\n=== Bechamel micro-benchmarks (software code paths) ===";
   let tests = match tests with Some ts -> ts | None -> default_micro_tests () in
@@ -246,17 +237,13 @@ let measure_allocs ?(warmup = 512) ?(runs = 4096) f =
 
 let alloc_profiles () =
   let bytes = Lazy.force routed_v4_bytes in
-  let _, dev_i = Harness.Cases.boot_base ~linked:false () in
-  let _, dev_l = Harness.Cases.boot_base () in
+  let _, dev_i = Harness.Cases.boot_base () in
   let dev_f = Lazy.force flat_device in
   let dev_d = Lazy.force fdd_device in
   [
     ( "interp",
       measure_allocs (fun () ->
           ignore (Ipsa.Device.inject dev_i (Net.Packet.create ~in_port:0 bytes))) );
-    ( "linked",
-      measure_allocs (fun () ->
-          ignore (Ipsa.Device.inject dev_l (Net.Packet.create ~in_port:0 bytes))) );
     ( "flat",
       measure_allocs (fun () -> ignore (Ipsa.Device.inject_flat dev_f ~in_port:0 bytes))
     );
@@ -376,20 +363,18 @@ let virt_sweep () =
   in
   (base_ns, rows)
 
-(* The artifact the CI smoke publishes: the interpreted, linked and flat
-   packet paths. Legacy top-level keys (interp/linked/speedup) are kept
-   for older consumers; per-path detail lives under ["paths"]. *)
+(* The artifact the CI smoke publishes: the interpreted, flat and fdd
+   packet paths, with each compiled path's speedup over the interpreter;
+   per-path detail lives under ["paths"]. *)
 let write_bench_link results =
   let module J = Prelude.Json in
   let find n = Option.join (List.assoc_opt n results) in
   match
     ( find "ipbm/packet-forward",
-      find "ipbm/packet-forward-linked",
       find "ipbm/packet-forward-flat",
       find "ipbm/packet-forward-fdd" )
   with
-  | Some interp, Some linked, Some flat, Some fdd
-    when linked > 0.0 && flat > 0.0 && fdd > 0.0 ->
+  | Some interp, Some flat, Some fdd when interp > 0.0 && flat > 0.0 && fdd > 0.0 ->
     let allocs = alloc_profiles () in
     let sweep_base_ns, sweep_rows = virt_sweep () in
     let path_obj name ns =
@@ -406,17 +391,14 @@ let write_bench_link results =
       J.Obj
         [
           ("interp_ns_per_packet", J.Float interp);
-          ("linked_ns_per_packet", J.Float linked);
-          ("speedup", J.Float (interp /. linked));
           ("flat_ns_per_packet", J.Float flat);
-          ("flat_speedup_vs_linked", J.Float (linked /. flat));
+          ("flat_speedup_vs_interp", J.Float (interp /. flat));
           ("fdd_ns_per_packet", J.Float fdd);
-          ("fdd_speedup_vs_linked", J.Float (linked /. fdd));
+          ("fdd_speedup_vs_interp", J.Float (interp /. fdd));
           ( "paths",
             J.Obj
               [
                 path_obj "interp" interp;
-                path_obj "linked" linked;
                 path_obj "flat" flat;
                 path_obj "fdd" fdd;
               ] );
@@ -443,15 +425,13 @@ let write_bench_link results =
     output_string oc (J.to_string_pretty j);
     output_string oc "\n";
     close_out oc;
-    Printf.printf "BENCH_link.json: linked speedup %.2fx (%.0f -> %.0f ns)\n"
-      (interp /. linked) interp linked;
     Printf.printf
-      "BENCH_link.json: flat %.2fx vs linked (%.0f -> %.0f ns, %.2f Mpkt/s, %.3f B alloc/pkt)\n"
-      (linked /. flat) linked flat (1e3 /. flat)
+      "BENCH_link.json: flat %.2fx vs interp (%.0f -> %.0f ns, %.2f Mpkt/s, %.3f B alloc/pkt)\n"
+      (interp /. flat) interp flat (1e3 /. flat)
       (try List.assoc "flat" allocs with Not_found -> nan);
     Printf.printf
-      "BENCH_link.json: fdd %.2fx vs linked (%.0f -> %.0f ns, %.2f Mpkt/s, %.3f B alloc/pkt)\n"
-      (linked /. fdd) linked fdd (1e3 /. fdd)
+      "BENCH_link.json: fdd %.2fx vs interp (%.0f -> %.0f ns, %.2f Mpkt/s, %.3f B alloc/pkt)\n"
+      (interp /. fdd) interp fdd (1e3 /. fdd)
       (try List.assoc "fdd" allocs with Not_found -> nan);
     Printf.printf "BENCH_link.json: virt sweep baseline %.0f ns/pkt (flat, unvirtualized)\n"
       sweep_base_ns;
@@ -465,7 +445,7 @@ let write_bench_link results =
 
 (* CI perf gate over a freshly generated BENCH_link.json: the flat and
    fdd paths must stay allocation-free (tiny tolerance for GC-counter
-   noise) and strictly faster than the linked path. *)
+   noise) and strictly faster than the interpreter. *)
 let perf_gate () =
   let module J = Prelude.Json in
   let read_file path =
@@ -478,26 +458,26 @@ let perf_gate () =
   let field p f =
     J.member_exn "paths" j |> J.member_exn p |> J.member_exn f |> J.to_float
   in
+  let interp_ns = field "interp" "ns_per_packet" in
   let flat_ns = field "flat" "ns_per_packet" in
-  let linked_ns = field "linked" "ns_per_packet" in
   let flat_allocs = field "flat" "allocs_per_packet" in
   let fdd_ns = field "fdd" "ns_per_packet" in
   let fdd_allocs = field "fdd" "allocs_per_packet" in
   Printf.printf
-    "perf gate: flat %.0f ns/pkt (%.2fx vs linked %.0f ns), %.3f bytes alloc/pkt, %.2f Mpkt/s\n"
-    flat_ns (linked_ns /. flat_ns) linked_ns flat_allocs (1e3 /. flat_ns);
+    "perf gate: flat %.0f ns/pkt (%.2fx vs interp %.0f ns), %.3f bytes alloc/pkt, %.2f Mpkt/s\n"
+    flat_ns (interp_ns /. flat_ns) interp_ns flat_allocs (1e3 /. flat_ns);
   Printf.printf
-    "perf gate: fdd %.0f ns/pkt (%.2fx vs linked), %.3f bytes alloc/pkt, %.2f Mpkt/s\n"
-    fdd_ns (linked_ns /. fdd_ns) fdd_allocs (1e3 /. fdd_ns);
+    "perf gate: fdd %.0f ns/pkt (%.2fx vs interp), %.3f bytes alloc/pkt, %.2f Mpkt/s\n"
+    fdd_ns (interp_ns /. fdd_ns) fdd_allocs (1e3 /. fdd_ns);
   let failed = ref false in
   if not (flat_allocs <= 2.0) then begin
     Printf.eprintf "perf gate FAIL: flat path allocates %.3f bytes/packet (limit 2.0)\n"
       flat_allocs;
     failed := true
   end;
-  if not (flat_ns < linked_ns) then begin
-    Printf.eprintf "perf gate FAIL: flat path (%.0f ns) not faster than linked (%.0f ns)\n"
-      flat_ns linked_ns;
+  if not (flat_ns < interp_ns) then begin
+    Printf.eprintf "perf gate FAIL: flat path (%.0f ns) not faster than interp (%.0f ns)\n"
+      flat_ns interp_ns;
     failed := true
   end;
   if not (fdd_allocs <= 2.0) then begin
@@ -505,9 +485,9 @@ let perf_gate () =
       fdd_allocs;
     failed := true
   end;
-  if not (fdd_ns < linked_ns) then begin
-    Printf.eprintf "perf gate FAIL: fdd path (%.0f ns) not faster than linked (%.0f ns)\n"
-      fdd_ns linked_ns;
+  if not (fdd_ns < interp_ns) then begin
+    Printf.eprintf "perf gate FAIL: fdd path (%.0f ns) not faster than interp (%.0f ns)\n"
+      fdd_ns interp_ns;
     failed := true
   end;
   (* The virtualization tax: a fully-resident hot tier must stay within
@@ -750,8 +730,8 @@ let all_experiments =
     ( "fabric-rollout",
       fun () ->
         write_bench_fabric (run_micro ~limit:10 ~quota:0.05 ~tests:fabric_tests ()) );
-    (* CI smoke: the packet-path trio plus the fleet-rollout pair with a
-       tiny iteration budget; emits the BENCH_link.json linked-vs-
+    (* CI smoke: the packet paths plus the fleet-rollout pair with a tiny
+       iteration budget; emits the BENCH_link.json compiled-vs-
        interpreted artifact and the BENCH_fabric.json rollout-loss one. *)
     ( "micro-smoke",
       fun () ->

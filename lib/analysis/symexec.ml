@@ -973,7 +973,7 @@ let check_merged_conflicts ctx (design : Rp4bc.Design.t) =
 
 (* Mirror of Ipsa.Flat's [Unsupported] sites: any expression, metadata
    slot, key or assignment the flat compiler refuses forces the hosting
-   template back onto the linked path. Kept in sync with flat.ml's
+   template back onto the interpreter. Kept in sync with flat.ml's
    [max_int_width] rules (wide header-to-header copies and wide header
    key fields are supported; everything else wider than 56 bits is
    not). *)

@@ -27,8 +27,8 @@ exception Setup_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Setup_error s)) fmt
 
-let boot_base ?telemetry ?linked ?(algo = Rp4bc.Layout.Dp) () =
-  let device = Ipsa.Device.create ?telemetry ?linked ~ntsps:8 () in
+let boot_base ?telemetry ?(algo = Rp4bc.Layout.Dp) () =
+  let device = Ipsa.Device.create ?telemetry ~ntsps:8 () in
   match Controller.Session.boot ~algo ~resolve_file ~source:Usecases.Base_l23.source device with
   | Error errs -> fail "boot: %s" (String.concat "; " errs)
   | Ok session -> (

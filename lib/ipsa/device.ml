@@ -57,7 +57,6 @@ type t = {
   outputs : Net.Packet.t Queue.t array;
   input_buffer : Net.Packet.t Queue.t;
   mutable updating : bool;
-  mutable use_linked : bool; (* run pre-bound programs off the fast path *)
   mutable next_pkt_id : int; (* per-device packet id sequence *)
   (* Batched zero-alloc plan, snapshotted by [relink]: the powered
      ingress/egress slots paired with their flat programs. [flat_ok] means
@@ -66,8 +65,9 @@ type t = {
   mutable flat_ingress : (Tsp.slot * Flat.prog) array;
   mutable flat_egress : (Tsp.slot * Flat.prog) array;
   mutable flat_ok : bool;
-  (* Per-slot reasons the flat compiler fell back to the linked path,
-     (tsp, reason), refreshed by [relink]; empty when [flat_ok]. *)
+  (* Per-slot reasons the flat compiler left a template to the
+     interpreter, (tsp, reason), refreshed by [relink]; empty when
+     [flat_ok]. *)
   mutable flat_gaps : (int * string) list;
   flat_one : F.t; (* reusable record for the single-packet fast path *)
   ring : F.Ring.t; (* reusable records for [inject_batch] *)
@@ -90,7 +90,7 @@ let default_pool () =
   Mem.Pool.create ~nblocks:64 ~block_width:128 ~block_depth:1024 ~nclusters:4
 
 let create ?(ntsps = 8) ?(nports = 16) ?(cycles_cfg = Cycles.default)
-    ?(crossbar_kind = Mem.Crossbar.Full) ?pool ?telemetry ?(linked = true) () =
+    ?(crossbar_kind = Mem.Crossbar.Full) ?pool ?telemetry () =
   let pool = match pool with Some p -> p | None -> default_pool () in
   let tel = match telemetry with Some t -> t | None -> Telemetry.nop () in
   {
@@ -107,7 +107,6 @@ let create ?(ntsps = 8) ?(nports = 16) ?(cycles_cfg = Cycles.default)
     outputs = Array.init nports (fun _ -> Queue.create ());
     input_buffer = Queue.create ();
     updating = false;
-    use_linked = linked;
     next_pkt_id = 0;
     flat_ingress = [||];
     flat_egress = [||];
@@ -241,9 +240,12 @@ let table_reachable t ~tsp name =
       (fun b -> Mem.Crossbar.connected t.crossbar ~tsp ~block:b)
       alloc.Mem.Pool.blocks
 
+(* The one environment every execution path resolves against: the
+   interpreter per packet, the flat and FDD compilers once per patch. *)
 let env t : Tsp.env =
   {
     Tsp.registry = t.registry;
+    layout = t.meta_layout;
     find_table =
       (fun ~tsp name ->
         if table_reachable t ~tsp name then Hashtbl.find_opt t.tables name else None);
@@ -253,48 +255,32 @@ let env t : Tsp.env =
   }
 
 (* The linking step of template download: compile every loaded template
-   into its pre-bound form against the device's *current* registry,
-   metadata layout, crossbar wiring and table set. Anything the linker
-   resolves can only change through a configuration patch, so re-linking
-   at the end of [apply_patch] keeps the fast path coherent. *)
-let link_env t : Linked.env =
-  {
-    Linked.registry = t.registry;
-    find_table =
-      (fun ~tsp name ->
-        if table_reachable t ~tsp name then Hashtbl.find_opt t.tables name
-        else None);
-    cycles_cfg = t.cycles_cfg;
-    tel = t.tel;
-    probes = t.probes;
-    layout = t.meta_layout;
-  }
-
+   into its flat form against the device's *current* registry, metadata
+   layout, crossbar wiring and table set. Anything the compiler resolves
+   can only change through a configuration patch, so re-linking at the
+   end of [apply_patch] keeps the fast path coherent. *)
 let relink t =
-  let lenv = link_env t in
+  let env = env t in
   let gaps = ref [] in
-  for i = 0 to Pipeline.ntsps t.pipeline - 1 do
-    let slot = Pipeline.slot t.pipeline i in
-    (match slot.Tsp.template with
-    | Some tmpl when t.use_linked -> (
-      slot.Tsp.linked <- Some (Linked.link lenv ~tsp:i tmpl);
-      (* A gap = the template uses something outside the flat subset
-         (wide arithmetic, >56-bit selectors); the batch path then falls
-         back to contexts for the whole device, and the reason is kept
-         for [flat_report]. *)
-      match Flat.link_explained lenv ~tsp:i tmpl with
-      | Ok p -> slot.Tsp.flat <- Some p
-      | Error reason ->
-        slot.Tsp.flat <- None;
-        gaps := (i, reason) :: !gaps)
-    | _ ->
-      slot.Tsp.linked <- None;
-      slot.Tsp.flat <- None)
-  done;
+  let progs =
+    Array.init (Pipeline.ntsps t.pipeline) (fun i ->
+        match (Pipeline.slot t.pipeline i).Tsp.template with
+        | None -> None
+        | Some tmpl -> (
+          (* A gap = the template uses something outside the flat subset
+             (wide arithmetic, >56-bit selectors); the batch path then
+             falls back to contexts for the whole device, and the reason
+             is kept for [flat_report]. *)
+          match Flat.link_explained env ~tsp:i tmpl with
+          | Ok p -> Some p
+          | Error reason ->
+            gaps := (i, reason) :: !gaps;
+            None))
+  in
   t.flat_gaps <- List.rev !gaps;
   (* Snapshot the batched plan: the powered slots per role, in pipeline
      order, paired with their flat programs. *)
-  let ok = ref t.use_linked in
+  let ok = ref true in
   let collect want =
     let acc = ref [] in
     for i = Pipeline.ntsps t.pipeline - 1 downto 0 do
@@ -302,7 +288,7 @@ let relink t =
       if Pipeline.role t.pipeline i = want && slot.Tsp.powered
          && slot.Tsp.template <> None
       then
-        match slot.Tsp.flat with
+        match progs.(i) with
         | Some prog -> acc := (slot, prog) :: !acc
         | None -> ok := false
     done;
@@ -334,7 +320,7 @@ let relink t =
    a blast radius) force-invalidates the named stages' memo entries;
    [fresh] bypasses the memo wholesale — the from-scratch oracle. *)
 let refdd ?(dirty_stages = []) ?(fresh = false) t =
-  Fdd.update t.fdd (link_env t) ~ingress:t.fdd_ingress ~egress:t.fdd_egress
+  Fdd.update t.fdd (env t) ~ingress:t.fdd_ingress ~egress:t.fdd_egress
     ~dirty_stages ~fresh ();
   if Telemetry.enabled t.tel then begin
     Telemetry.Gauge.set (Telemetry.gauge t.tel "fdd.nodes") (Fdd.node_count t.fdd);
@@ -607,6 +593,16 @@ let batch_result_of_ctx port (ctx : Context.t) =
     br_virt_misses = ctx.Context.virt_misses;
   }
 
+let batch_result_of_flat port (fp : F.t) =
+  {
+    br_port = port;
+    br_meta = F.meta_bindings fp;
+    br_cycles = fp.F.cycles;
+    br_lookups = fp.F.lookups;
+    br_parse_attempts = fp.F.parse_attempts;
+    br_virt_misses = fp.F.virt_misses;
+  }
+
 (* Inject a batch of packets; slot [i] of the result describes packet
    [i] ([None] = dropped, buffered during an update, or swallowed by the
    TM). When the flat plan covers the pipeline the packets run through
@@ -635,15 +631,7 @@ let inject_batch t (pkts : Net.Packet.t array) : batch_result option array =
         if port >= -1 then F.to_packet fp pkt;
         if port >= 0 then begin
           Queue.add pkt t.outputs.(port);
-          Some
-            {
-              br_port = port;
-              br_meta = F.meta_bindings fp;
-              br_cycles = fp.F.cycles;
-              br_lookups = fp.F.lookups;
-              br_parse_attempts = fp.F.parse_attempts;
-              br_virt_misses = fp.F.virt_misses;
-            }
+          Some (batch_result_of_flat port fp)
         end
         else None
       end
@@ -678,15 +666,7 @@ let inject_batch_fdd t (pkts : Net.Packet.t array) : batch_result option array =
         if port >= -1 then F.to_packet fp pkt;
         if port >= 0 then begin
           Queue.add pkt t.outputs.(port);
-          Some
-            {
-              br_port = port;
-              br_meta = F.meta_bindings fp;
-              br_cycles = fp.F.cycles;
-              br_lookups = fp.F.lookups;
-              br_parse_attempts = fp.F.parse_attempts;
-              br_virt_misses = fp.F.virt_misses;
-            }
+          Some (batch_result_of_flat port fp)
         end
         else None)
       pkts
@@ -874,7 +854,7 @@ let apply_patch ?(dirty_stages = []) t (patch : Config.t) :
   t.updating <- false;
   t.stats.updates_applied <- t.stats.updates_applied + 1;
   Telemetry.Counter.incr t.instr.i_updates;
-  (* Linking step of template download: re-bind every loaded template
+  (* Linking step of template download: recompile every loaded template
      against the post-patch registry, layout, wiring and tables — before
      buffered arrivals are released through the new pipeline. *)
   relink t;

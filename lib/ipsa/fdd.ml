@@ -2,7 +2,7 @@
 
    [Flat] compiles one template at a time; packets still walk the pipeline
    slot by slot, stage by stage, and every lookup scans its table's cache.
-   This module is the third compilation tier: the *entire populated
+   This module is the second compilation tier: the *entire populated
    pipeline* — templates plus current table contents — compiles into one
    hash-consed decision diagram, so forwarding is a single O(depth) walk
    over pointer-linked nodes. Conditions, key reads, entry patterns and
@@ -26,9 +26,10 @@
    test_fdd checks.
 
    Accounting (cycles, lookups, parse attempts, probes, table counters,
-   switch-tag writes) mirrors [Linked]/[Flat] observably; the diagram is
-   only ever run when [ok], and the device falls back to the flat or
-   context path otherwise, exactly like [Flat]'s [Unsupported] protocol. *)
+   switch-tag writes) mirrors [Flat] and the interpreter observably; the
+   diagram is only ever run when [ok], and the device falls back to the
+   flat or context path otherwise, exactly like [Flat]'s [Unsupported]
+   protocol. *)
 
 module F = Net.Flatpkt
 module E = Table.Engine
@@ -253,9 +254,9 @@ let ct_digest (ct : Template.compiled_table) =
    resolution can shift without either changing — crossbar rewiring,
    alloc/free — but that is caught per instance by [ftinst]
    revalidation, which is what keeps those patches incremental.) *)
-let env_fingerprint (env : Linked.env) =
+let env_fingerprint (env : Tsp.env) =
   let b = Buffer.create 256 in
-  Buffer.add_string b (Net.Hdrdef.fingerprint env.Linked.registry);
+  Buffer.add_string b (Net.Hdrdef.fingerprint env.Tsp.registry);
   Buffer.add_char b '|';
   List.iter
     (fun (n, w) ->
@@ -263,18 +264,18 @@ let env_fingerprint (env : Linked.env) =
       Buffer.add_char b ':';
       Buffer.add_string b (string_of_int w);
       Buffer.add_char b ';')
-    (Net.Meta.Layout.fields env.Linked.layout);
+    (Net.Meta.Layout.fields env.Tsp.layout);
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Table-instance cache                                                *)
 (* ------------------------------------------------------------------ *)
 
-let ftinst t (env : Linked.env) ~tsp (ct : Template.compiled_table) =
+let ftinst t (env : Tsp.env) ~tsp (ct : Template.compiled_table) =
   let name = ct.Template.ct_name in
   let key = string_of_int tsp ^ "|" ^ name in
   let ctd = ct_digest ct in
-  let resolved = env.Linked.find_table ~tsp name in
+  let resolved = env.Tsp.find_table ~tsp name in
   let remember fi =
     if not (List.exists (fun f -> f.fi_stamp = fi.fi_stamp) t.used) then
       t.used <- fi :: t.used;
@@ -635,7 +636,7 @@ let rec comp_matcher t env ~probe ~tsp (cs : Template.compiled_stage)
       comp_apply t env ~probe ~tsp ~case_tags ct k)
 
 let comp_stage t env ~probe ~tsp fg (cs : Template.compiled_stage) next =
-  let cfg = env.Linked.cycles_cfg in
+  let cfg = env.Tsp.cycles_cfg in
   let k = memo_k (executor t env ~probe ~tsp ~exec_base:cfg.Cycles.executor_base cs next) in
   let matcher = comp_matcher t env ~probe ~tsp cs cs.Template.cs_matcher O_none k in
   parse_node t ~probe ~tsp ~pph:cfg.Cycles.parse_per_header fg
@@ -643,8 +644,8 @@ let comp_stage t env ~probe ~tsp fg (cs : Template.compiled_stage) next =
 
 let comp_slot t env fg (slot : Tsp.slot) (tmpl : Template.t) next =
   let tsp = slot.Tsp.id in
-  let probe = env.Linked.probes.(tsp) in
-  let tmpl_cycles = Cycles.template_cycles env.Linked.cycles_cfg in
+  let probe = env.Tsp.probes.(tsp) in
+  let tmpl_cycles = Cycles.template_cycles env.Tsp.cycles_cfg in
   let rec stages = function
     | [] -> next
     | cs :: rest -> guard t (comp_stage t env ~probe ~tsp fg cs (stages rest))
@@ -721,7 +722,7 @@ let comp_half t env fg ~fresh ~dirty (slots : Tsp.slot array) gaps : node =
    [?dirty_stages] (the [Analysis.Impact] blast radius, when the caller
    has one) force-invalidates the memo for the named stages on top of the
    automatic staleness detection. *)
-let update t (env : Linked.env) ~ingress ~egress ?(dirty_stages = [])
+let update t (env : Tsp.env) ~ingress ~egress ?(dirty_stages = [])
     ?(fresh = false) () =
   let fp = env_fingerprint env in
   if fp <> t.env_fp then begin
@@ -732,7 +733,7 @@ let update t (env : Linked.env) ~ingress ~egress ?(dirty_stages = [])
     Hashtbl.reset t.cons;
     Hashtbl.reset t.fts;
     Hashtbl.reset t.memo;
-    (match Flat.build_fpgraph env.Linked.registry with
+    (match Flat.build_fpgraph env.Tsp.registry with
     | g ->
       t.fg <- Some g;
       t.fg_reason <- ""

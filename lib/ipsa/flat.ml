@@ -1,22 +1,24 @@
-(* Zero-allocation compilation of a linked template onto [Net.Flatpkt].
+(* Zero-allocation compilation of a template onto [Net.Flatpkt].
 
-   [Linked] already resolves every name at template-download time, but its
-   packet path still allocates: every field read boxes a [Bits.t], every
-   lookup builds a key list, every action binds an argument array. This
-   module is the second compilation tier: when a template only manipulates
-   values that fit in an unboxed OCaml [int] (width <= 56 bits — wide
-   values are handled for straight header-to-header copies and scan keys,
-   never boxed), it compiles to closures over a [Net.Flatpkt.t] whose
-   steady state allocates nothing at all.
+   In the paper a TSP is programmed by "downloading the template
+   parameters" (Sec. 2.2): name resolution happens once, at configuration
+   time, and the per-packet data path runs on pre-bound field indicators.
+   This module is that download step. Every "hdr.field" / "meta.x"
+   reference resolves to an interned id plus a (bit offset, width)
+   against the device's current registry and metadata layout, every table
+   to the [Table.t] the crossbar reaches, and the matcher, conditions and
+   actions to closures over a [Net.Flatpkt.t]. When a template only
+   manipulates values that fit in an unboxed OCaml [int] (width <= 56 bits
+   — wide values are handled for straight header-to-header copies and
+   scan keys, never boxed), the steady state allocates nothing at all.
 
-   The compiler is a *partial* twin of [Linked]: any construct outside the
-   flat subset raises [Unsupported] during [link], the device keeps the
-   linked program as its oracle, and the batch entry points fall back to
-   it per template. Everything the flat path does — counter increments,
-   cycle accounting, miss/default behaviour, evaluation order, even which
-   exception escapes on an invalid reference — mirrors [Linked] (and
-   therefore the string interpreter) observably; test_flat.ml holds the
-   three implementations equal.
+   The compiler is a *partial* twin of the string interpreter in
+   [Tsp]/[Action_eval]: any construct outside the flat subset raises
+   [Unsupported] during [link], and the device runs that pipeline on the
+   interpreter instead. Everything the flat path does — counter
+   increments, cycle accounting, miss/default behaviour, evaluation order,
+   even which exception escapes on an invalid reference — mirrors the
+   interpreter observably; test_flat.ml holds the two equal.
 
    Table lookups cannot pre-render entries once: controllers mutate tables
    between packets. The derived int-keyed structures (hash map / ordered
@@ -33,10 +35,10 @@ module F = Net.Flatpkt
 module Bf = Net.Bitfield
 
 (* Raised at compile (link) time only: the template uses a construct the
-   flat subset cannot express; the caller falls back to [Linked]. The
-   payload says which construct, so devices can report *why* a slot is
-   off the fast path ([Device.flat_report]) and the symbolic analyzer's
-   static prediction can be cross-checked against it. *)
+   flat subset cannot express; the caller falls back to the interpreter.
+   The payload says which construct, so devices can report *why* a slot
+   is off the fast path ([Device.flat_report]) and the symbolic
+   analyzer's static prediction can be cross-checked against it. *)
 exception Unsupported of string
 
 let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
@@ -75,7 +77,7 @@ let ensure_scratch e nbytes =
     e.ev_scratch <- Bytes.create (max nbytes (2 * Bytes.length e.ev_scratch))
 
 (* ------------------------------------------------------------------ *)
-(* Parse graph: [Linked.pgraph] with ids flattened into arrays          *)
+(* Parse graph: the header linkage with ids flattened into arrays       *)
 (* ------------------------------------------------------------------ *)
 
 type fpnode = {
@@ -120,7 +122,7 @@ let build_fpgraph (r : Net.Hdrdef.registry) =
     fg_first = (match r.Net.Hdrdef.first with Some n -> Net.Intern.id n | None -> -1);
   }
 
-(* Concatenated selector value, as [Linked.read_selector] computes it. *)
+(* Concatenated selector value, as [Parse_engine.read_selector] computes it. *)
 let rec read_sel fp node ~bit_off i acc =
   if i >= Array.length node.fn_sel then acc
   else begin
@@ -134,7 +136,7 @@ let rec find_next node tag i =
   else if node.fn_tags.(i) = tag then node.fn_next.(i)
   else find_next node tag (i + 1)
 
-(* Twin of [Linked.ensure_parsed]'s inner walk, over flat state. *)
+(* Twin of [Parse_engine.ensure_parsed]'s inner walk, over flat state. *)
 let rec walk g fp target hid bit_off steps =
   if steps <= 0 then false
   else
@@ -160,7 +162,7 @@ let ensure_parsed ?(budget = 32) g fp target =
   else begin
     (* Resume from the deepest already-parsed header, as the reference
        parse engine does. The touched stack enumerates candidates; the
-       first deepest one wins ties, matching the fold in [Linked]. *)
+       first deepest one wins ties. *)
     let dhid = ref (-1) and doff = ref (-1) in
     for i = 0 to fp.F.ntouched - 1 do
       let hid = fp.F.touched.(i) in
@@ -191,6 +193,34 @@ let want_or_raise ~what w =
     unsupported "%s: %d bits exceeds the %d-bit flat limit" what w max_int_width
   else w
 
+(* Compile-time resolution of a header field against the current
+   registry. [None] when the header type or field is unknown — the
+   reference interpreter would find no parsed instance either, so the
+   compiled closure behaves as "never valid". *)
+let resolve_hdr (env : Tsp.env) h f =
+  match Net.Hdrdef.find env.Tsp.registry h with
+  | None -> None
+  | Some def -> (
+    match Net.Hdrdef.field_offset def f with
+    | None -> None
+    | Some (off, width) -> Some (def.Net.Hdrdef.id, off, width))
+
+(* Static width of an expression under demand width [want] — the width
+   [Action_eval.eval_expr] would observe at runtime (all leaf widths are
+   known at compile time). *)
+let rec expr_width (env : Tsp.env) ~params ~want : Rp4.Ast.expr -> int = function
+  | Rp4.Ast.E_const (_, Some w) -> w
+  | Rp4.Ast.E_const (_, None) -> want
+  | Rp4.Ast.E_param p -> (
+    match List.assoc_opt p params with Some w -> w | None -> want)
+  | Rp4.Ast.E_field (Rp4.Ast.Meta_field f) -> (
+    match Net.Meta.Layout.slot env.Tsp.layout f with
+    | Some s -> Net.Meta.Layout.width env.Tsp.layout s
+    | None -> want)
+  | Rp4.Ast.E_field (Rp4.Ast.Hdr_field (h, f)) -> (
+    match resolve_hdr env h f with Some (_, _, w) -> w | None -> want)
+  | Rp4.Ast.E_binop (_, a, _) -> expr_width env ~params ~want a
+
 let rec compile_fexpr env ~params ~want (ex : Rp4.Ast.expr) : fenv -> int =
   match ex with
   | Rp4.Ast.E_const (v, Some w) ->
@@ -200,19 +230,19 @@ let rec compile_fexpr env ~params ~want (ex : Rp4.Ast.expr) : fenv -> int =
     let c = Int64.to_int v land imask (want_or_raise ~what:"constant" want) in
     fun _ -> c
   | Rp4.Ast.E_field (Rp4.Ast.Meta_field f) -> (
-    match Net.Meta.Layout.slot env.Linked.layout f with
+    match Net.Meta.Layout.slot env.Tsp.layout f with
     | Some s ->
       ignore
         (want_or_raise
            ~what:(Printf.sprintf "read of meta.%s" f)
-           (Net.Meta.Layout.width env.Linked.layout s));
+           (Net.Meta.Layout.width env.Tsp.layout s));
       fun e -> e.ev_fp.F.meta.(s)
     | None ->
       let msg = Printf.sprintf "Meta.get: undeclared field meta.%s" f in
       fun _ -> invalid_arg msg)
   | Rp4.Ast.E_field (Rp4.Ast.Hdr_field (h, f)) -> (
     let msg = Printf.sprintf "read of invalid header field %s.%s" h f in
-    match Linked.resolve_hdr env h f with
+    match resolve_hdr env h f with
     | Some (hid, off, width) ->
       ignore (want_or_raise ~what:(Printf.sprintf "read of %s.%s" h f) width);
       fun e ->
@@ -232,10 +262,10 @@ let rec compile_fexpr env ~params ~want (ex : Rp4.Ast.expr) : fenv -> int =
       let msg = Printf.sprintf "unbound action parameter %s" p in
       fun _ -> raise (Action_eval.Runtime_error msg))
   | Rp4.Ast.E_binop (op, a, b) ->
-    let w = want_or_raise ~what:"arithmetic operand" (Linked.expr_width env ~params ~want a) in
+    let w = want_or_raise ~what:"arithmetic operand" (expr_width env ~params ~want a) in
     let fa = compile_fexpr env ~params ~want a in
     let fb = compile_fexpr env ~params ~want:w b in
-    let wb = Linked.expr_width env ~params ~want:w b in
+    let wb = expr_width env ~params ~want:w b in
     let trunc = wb > w in
     let mw = imask w in
     (* Left operand first, as in the reference interpreter. *)
@@ -282,10 +312,10 @@ let rec compile_fcond env ~params (c : Rp4.Ast.cond) : fenv -> bool =
     let fa = compile_fcond env ~params a and fb = compile_fcond env ~params b in
     fun e -> fa e || fb e
   | Rp4.Ast.C_rel (op, a, b) ->
-    let w = want_or_raise ~what:"comparison operand" (Linked.expr_width env ~params ~want:64 a) in
+    let w = want_or_raise ~what:"comparison operand" (expr_width env ~params ~want:64 a) in
     let fa = compile_fexpr env ~params ~want:64 a in
     let fb = compile_fexpr env ~params ~want:w b in
-    let wb = Linked.expr_width env ~params ~want:w b in
+    let wb = expr_width env ~params ~want:w b in
     let trunc = wb > w in
     let mw = imask w in
     (* Both sides are nonnegative ints of width [w]; int comparison
@@ -351,12 +381,12 @@ let compile_fstmt env ~params (s : Rp4.Ast.stmt) : fenv -> unit =
       let threshold = fth e in
       if hits > threshold then e.ev_fp.F.meta.(Net.Meta.slot_mark) <- fv e land 0xFF
   | Rp4.Ast.S_assign (Rp4.Ast.Meta_field f, ex) -> (
-    match Net.Meta.Layout.slot env.Linked.layout f with
+    match Net.Meta.Layout.slot env.Tsp.layout f with
     | Some s ->
       let w =
         want_or_raise
           ~what:(Printf.sprintf "write of meta.%s" f)
-          (Net.Meta.Layout.width env.Linked.layout s)
+          (Net.Meta.Layout.width env.Tsp.layout s)
       in
       let fe = compile_fexpr env ~params ~want:w ex in
       let mw = imask w in
@@ -370,7 +400,7 @@ let compile_fstmt env ~params (s : Rp4.Ast.stmt) : fenv -> unit =
         invalid_arg msg)
   | Rp4.Ast.S_assign (Rp4.Ast.Hdr_field (h, f), ex) -> (
     let msg = Printf.sprintf "Pmap.set_field: %s.%s not parsed/valid" h f in
-    match Linked.resolve_hdr env h f with
+    match resolve_hdr env h f with
     | Some (hid, off, w) when w <= max_int_width ->
       let fe = compile_fexpr env ~params ~want:w ex in
       let mw = imask w in
@@ -383,10 +413,10 @@ let compile_fstmt env ~params (s : Rp4.Ast.stmt) : fenv -> unit =
     | Some (hid, off, w) -> (
       (* Wide destination: only a straight header-to-header copy stays
          unboxed (e.g. moving a 128-bit address); anything else falls back
-         to the linked path. *)
+         to the interpreter. *)
       match ex with
       | Rp4.Ast.E_field (Rp4.Ast.Hdr_field (h2, f2)) -> (
-        match Linked.resolve_hdr env h2 f2 with
+        match resolve_hdr env h2 f2 with
         | Some (hid2, off2, w2) when w2 >= w ->
           let soff_rel = off2 + (w2 - w) in (* resize keeps the low bits *)
           let rmsg = Printf.sprintf "read of invalid header field %s.%s" h2 f2 in
@@ -443,7 +473,7 @@ let compile_faction env (a : Rp4.Ast.action_decl) =
         (List.map (compile_fstmt env ~params:a.Rp4.Ast.ad_params) a.Rp4.Ast.ad_body);
   }
 
-(* Positional binding with the arity check of [Linked.run_laction]. *)
+(* Positional binding with the arity check of [Action_eval.run_action]. *)
 let run_faction scr fa (args : int array) =
   let n = fa.fa_nparams in
   if Array.length args <> n then
@@ -462,7 +492,7 @@ let run_faction scr fa (args : int array) =
 (* ------------------------------------------------------------------ *)
 
 (* Key readers, resolved per field. Narrow header keys pre-fold the
-   [B.resize v kw] of the linked path into (offset, width) arithmetic. *)
+   interpreter's [B.resize v kw] into (offset, width) arithmetic. *)
 type fkey =
   | FK_meta of { slot : int; kmask : int }
   | FK_hdr of { hid : int; roff : int; rw : int }
@@ -491,18 +521,18 @@ let compile_fkey env (f : Table.Key.field) : fkey =
   let kw = f.Table.Key.kf_width in
   let a, b = Net.Fieldref.split f.Table.Key.kf_ref in
   if a = "meta" then begin
-    match Net.Meta.Layout.slot env.Linked.layout b with
+    match Net.Meta.Layout.slot env.Tsp.layout b with
     | Some s ->
       ignore (want_or_raise ~what:(Printf.sprintf "key meta.%s" b) kw);
       ignore
         (want_or_raise
            ~what:(Printf.sprintf "key meta.%s" b)
-           (Net.Meta.Layout.width env.Linked.layout s));
+           (Net.Meta.Layout.width env.Tsp.layout s));
       FK_meta { slot = s; kmask = imask kw }
     | None -> FK_raise (Printf.sprintf "Meta.get: undeclared field meta.%s" b)
   end
   else begin
-    match Linked.resolve_hdr env a b with
+    match resolve_hdr env a b with
     | Some (hid, off, width) ->
       if kw <= max_int_width then
         if kw <= width then FK_hdr { hid; roff = off + width - kw; rw = kw }
@@ -527,10 +557,10 @@ let compile_ftable env ~tsp (ct : Template.compiled_table) =
   {
     ft_name = ct.Template.ct_name;
     ft_mem_cycles =
-      Cycles.mem_access_cycles env.Linked.cycles_cfg
+      Cycles.mem_access_cycles env.Tsp.cycles_cfg
         ~entry_width:ct.Template.ct_entry_width;
-    ft_virt_cycles = env.Linked.cycles_cfg.Cycles.virt_miss;
-    ft_table = env.Linked.find_table ~tsp ct.Template.ct_name;
+    ft_virt_cycles = env.Tsp.cycles_cfg.Cycles.virt_miss;
+    ft_table = env.Tsp.find_table ~tsp ct.Template.ct_name;
     ft_keys = Array.map (compile_fkey env) fields;
     ft_kws = kws;
     ft_hash = Array.map (fun f -> f.Table.Key.kf_kind = Table.Key.Hash) fields;
@@ -538,16 +568,16 @@ let compile_ftable env ~tsp (ct : Template.compiled_table) =
     ft_offs = Array.make n 0;
     ft_key_pos = pos;
     ft_exact_key = Bytes.create !total;
-    ft_hit_ctr = Telemetry.table_counter env.Linked.tel ~table:ct.Template.ct_name ~hit:true;
+    ft_hit_ctr = Telemetry.table_counter env.Tsp.tel ~table:ct.Template.ct_name ~hit:true;
     ft_miss_ctr =
-      Telemetry.table_counter env.Linked.tel ~table:ct.Template.ct_name ~hit:false;
+      Telemetry.table_counter env.Tsp.tel ~table:ct.Template.ct_name ~hit:false;
     ft_gen = -1;
   }
 
 (* --- per-packet lookup (allocation-free) ------------------------------ *)
 
 (* Read every key field into the scratch arrays; [false] = some header
-   key is invalid, which the linked path treats as a miss before the
+   key is invalid, which the interpreter treats as a miss before the
    table is consulted. *)
 let rec read_keys t e i =
   if i >= Array.length t.ft_keys then true
@@ -642,7 +672,7 @@ let hash_key t e =
   done;
   Prelude.Crc32.finish_int !st
 
-(* --- the lookup itself, mirroring [Linked.apply_ltable] --------------- *)
+(* --- the lookup itself, mirroring [Tsp.apply_table] -------------------- *)
 
 let flat_miss probe t e =
   e.ll_present <- true;
@@ -774,7 +804,7 @@ let rec find_case (tags : int array) tag i =
   else find_case tags tag (i + 1)
 
 let link_fstage env ~tsp ~fg scr (cs : Template.compiled_stage) : F.t -> unit =
-  let probe = env.Linked.probes.(tsp) in
+  let probe = env.Tsp.probes.(tsp) in
   let parse = Array.of_list (List.map Net.Intern.id cs.Template.cs_parser) in
   let ftables = List.map (compile_ftable env ~tsp) cs.Template.cs_tables in
   let matcher = compile_fmatcher env probe cs ftables cs.Template.cs_matcher in
@@ -786,8 +816,8 @@ let link_fstage env ~tsp ~fg scr (cs : Template.compiled_stage) : F.t -> unit =
          cs.Template.cs_cases)
   in
   let default_acts = Array.of_list (List.map (compile_faction env) cs.Template.cs_default) in
-  let parse_per_header = env.Linked.cycles_cfg.Cycles.parse_per_header in
-  let executor_base = env.Linked.cycles_cfg.Cycles.executor_base in
+  let parse_per_header = env.Tsp.cycles_cfg.Cycles.parse_per_header in
+  let executor_base = env.Tsp.cycles_cfg.Cycles.executor_base in
   fun fp ->
     (* Parser sub-module: distributed on-demand parsing over the graph. *)
     let before = fp.F.parse_attempts in
@@ -810,7 +840,7 @@ let link_fstage env ~tsp ~fg scr (cs : Template.compiled_stage) : F.t -> unit =
           fp.F.cycles <- fp.F.cycles + executor_base;
           Telemetry.Counter.incr probe.Telemetry.sp_actions;
           let fa = acts.(i) in
-          (* NoAction-style empty bodies take no args, as in [Linked]. *)
+          (* NoAction-style empty bodies take no args, as in [Tsp]. *)
           run_faction scr fa (if fa.fa_nparams = 0 then empty_args else scr.ll_args)
         done
       end
@@ -845,11 +875,11 @@ let new_fenv () =
   }
 
 (* Compile a full template; [Error reason] = outside the flat subset
-   (the reason names the offending construct), fall back to the linked
-   program. *)
-let link_explained env ~tsp (tmpl : Template.t) : (prog, string) result =
+   (the reason names the offending construct), run the template on the
+   interpreter instead. *)
+let link_explained (env : Tsp.env) ~tsp (tmpl : Template.t) : (prog, string) result =
   match
-    let fg = build_fpgraph env.Linked.registry in
+    let fg = build_fpgraph env.Tsp.registry in
     let scr = new_fenv () in
     {
       fp_stages = Array.of_list (List.map (link_fstage env ~tsp ~fg scr) tmpl.Template.stages);
@@ -860,15 +890,12 @@ let link_explained env ~tsp (tmpl : Template.t) : (prog, string) result =
   | p -> Ok p
   | exception Unsupported reason -> Error reason
 
-let link env ~tsp (tmpl : Template.t) : prog option =
-  match link_explained env ~tsp tmpl with Ok p -> Some p | Error _ -> None
-
 (* Parse graph alone, for the PISA front parser. *)
 let link_parser registry : fpgraph option =
   match build_fpgraph registry with g -> Some g | exception Unsupported _ -> None
 
 (* Run the stage programs; the caller owns template-fetch cycles and the
-   packet counter, as with [Linked.run_stages]. *)
+   packet counter, as [Tsp.process] does for the interpreter. *)
 let run_stages prog fp =
   let stages = prog.fp_stages in
   for i = 0 to Array.length stages - 1 do

@@ -9,8 +9,6 @@
 type slot = {
   id : int;
   mutable template : Template.t option;
-  mutable linked : Linked.prog option; (* pre-bound form; rebuilt by relink *)
-  mutable flat : Flat.prog option; (* zero-alloc form; [None] = outside subset *)
   mutable powered : bool; (* false = bypassed, low-power state *)
   mutable packets : int; (* packets this TSP actively processed *)
   mutable stamp : int; (* bumped per template (re)write; caches key on it *)
@@ -20,35 +18,34 @@ let make id =
   {
     id;
     template = None;
-    linked = None;
-    flat = None;
     powered = false;
     packets = 0;
     stamp = 0;
   }
 
-(* Loading a new template invalidates any linked program; the device
-   re-links after the configuration patch completes. The stamp lets
-   derived caches (the FDD stage memo) distinguish "same slot, new
-   template" from an untouched slot without comparing template bodies. *)
+(* The stamp lets derived plans (the device's flat programs, the FDD
+   stage memo) distinguish "same slot, new template" from an untouched
+   slot without comparing template bodies; the device recompiles them
+   after the configuration patch completes. *)
 let load slot template =
   slot.template <- template;
-  slot.linked <- None;
-  slot.flat <- None;
   slot.stamp <- slot.stamp + 1;
   slot.powered <- template <> None
 
 (* Environment the TSP needs from the device: header linkage for parsing,
-   and logical-table resolution through the crossbar. [find_table] returns
-   [None] when the table does not exist *or* the crossbar does not connect
-   this TSP to the table's memory blocks — an unreachable table behaves as
-   always-miss, mirroring a misconfigured crossbar in hardware.
+   the program metadata layout, and logical-table resolution through the
+   crossbar. [find_table] returns [None] when the table does not exist
+   *or* the crossbar does not connect this TSP to the table's memory
+   blocks — an unreachable table behaves as always-miss, mirroring a
+   misconfigured crossbar in hardware. The interpreter reads it per
+   packet; [Flat] and [Fdd] compile against the same record.
 
    [tel] and [probes] are the telemetry handle and the per-TSP instrument
    families the device resolved at construction; with a no-op sink every
    instrument update reduces to a single dead-instrument branch. *)
 type env = {
   registry : Net.Hdrdef.registry;
+  layout : Net.Meta.Layout.t;
   find_table : tsp:int -> string -> Table.t option;
   cycles_cfg : Cycles.t;
   tel : Telemetry.t;
@@ -208,12 +205,9 @@ let process ?(role = "") env slot (ctx : Context.t) =
       Telemetry.Trace.start tr ~tsp:slot.id ~role ~cycles:ctx.Context.cycles
     | None -> ());
     Context.add_cycles ctx (Cycles.template_cycles env.cycles_cfg);
-    (match slot.linked with
-    | Some prog -> Linked.run_stages prog ctx
-    | None ->
-      List.iter
-        (fun cs -> if not (Context.dropped ctx) then run_stage env slot ctx cs)
-        template.Template.stages);
+    List.iter
+      (fun cs -> if not (Context.dropped ctx) then run_stage env slot ctx cs)
+      template.Template.stages;
     match ctx.Context.trace with
     | Some tr -> Telemetry.Trace.finish tr ~cycles:ctx.Context.cycles
     | None -> ()

@@ -1,11 +1,11 @@
 (* Process-wide string interning.
 
-   The linking layer (Ipsa.Linked) resolves every header and metadata
-   name to a small integer once at template-download time, so the
+   The template compilers (Ipsa.Flat, Ipsa.Fdd) resolve every header name
+   to a small integer once at template-download time, so the
    steady-state packet path can key its maps by [int] instead of hashing
    strings. Ids are dense, stable for the lifetime of the process, and
    shared by every device in it — two devices interning "ipv4" agree on
-   the id, which keeps linked programs trivially comparable in tests.
+   the id, which keeps compiled programs trivially comparable in tests.
 
    Interning itself hashes the string, so it belongs to load-time code
    only; per-packet code should carry ids it obtained at link time. *)

@@ -9,9 +9,10 @@
    width. A device builds one layout per program at configuration time
    ("downloading template parameters"), and every packet then carries just
    a dense [Bits.t array] indexed by slot. The string-keyed accessors
-   remain for configuration-time and test code; the packet path uses the
-   [_slot] accessors with indices resolved at link time, so it performs no
-   string hashing. *)
+   serve configuration-time code, the reference interpreter and tests;
+   the [_slot] accessors take indices resolved once (the intrinsic slots
+   below), and the compiled flat path keeps its own unboxed slot array
+   ([Flatpkt]) laid out by the same [Layout.t]. *)
 
 (* Intrinsic metadata present in every pipeline, in slot order. *)
 let intrinsic = [
@@ -136,7 +137,7 @@ let width_of t name =
   | Some s -> Some (Layout.width t.layout s)
   | None -> None
 
-(* --- slot accessors: the linked packet path ------------------------- *)
+(* --- slot accessors: indices resolved once, no string hashing -------- *)
 
 let get_slot t s =
   if s < Array.length t.values then t.values.(s)

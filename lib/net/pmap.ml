@@ -7,9 +7,9 @@
    whole map before the pipeline.
 
    The map is keyed by *interned* header ids ([Intern.id] of the header
-   name, cached on [Hdrdef.t]), so the linked packet path looks instances
-   up by integer — no string hashing. The string-keyed accessors intern on
-   entry and serve the reference interpreter and tests. *)
+   name, cached on [Hdrdef.t]), so code holding compile-time ids looks
+   instances up by integer — no string hashing. The string-keyed accessors
+   intern on entry and serve the reference interpreter and tests. *)
 
 (* The reference interpreter calls the string-keyed accessors with header
    names taken straight from the AST, which are physically shared across
@@ -61,10 +61,6 @@ let names t =
     (fun _ inst acc -> if inst.valid then inst.def.Hdrdef.name :: acc else acc)
     t []
   |> List.sort compare
-
-(* Fold over valid instances, in no particular order. *)
-let fold_valid f (t : t) acc =
-  Hashtbl.fold (fun hid inst acc -> if inst.valid then f hid inst acc else acc) t acc
 
 (* Absolute bit offset of [hdr.field] in the packet. *)
 let field_pos t ~hdr ~field =

@@ -26,7 +26,6 @@ type stats = {
 type stage = {
   id : int;
   mutable template : Ipsa.Template.t option;
-  mutable linked : Ipsa.Linked.prog option; (* pre-bound form, set at reload *)
   mutable flat : Ipsa.Flat.prog option; (* zero-alloc form, set at reload *)
   tables : (string, Table.t) Hashtbl.t; (* stage-local memory *)
 }
@@ -39,8 +38,6 @@ type t = {
   outputs : Net.Packet.t Queue.t array;
   cycles_cfg : Ipsa.Cycles.t;
   mutable reloading : bool;
-  mutable use_linked : bool;
-  mutable pgraph : Ipsa.Linked.pgraph option; (* id-indexed front-parse graph *)
   (* Batched zero-alloc plan, rebuilt at reload: the flat front-parse
      graph, the header ids the front parser requests, and the flat stage
      programs in pipeline order. [flat_ok] = the whole design compiled
@@ -53,10 +50,10 @@ type t = {
   mutable flat_gaps : (int * string) list;
   ring : Net.Flatpkt.Ring.t;
   (* Whole-pipeline decision diagram over the fixed stage sequence. The
-     builder works on [Ipsa.Tsp.slot]s, so each PISA stage keeps a
-     persistent shim slot (stable identity across reloads — the slot
-     stamp then tracks template swaps); every stage is an ingress root,
-     PISA has no TM split. *)
+     builder and the interpreter work on [Ipsa.Tsp.slot]s, so each PISA
+     stage keeps a persistent shim slot (stable identity across reloads —
+     the slot stamp then tracks template swaps); every stage is an
+     ingress root, PISA has no TM split. *)
   fdd : Ipsa.Fdd.t;
   fdd_slots : Ipsa.Tsp.slot array;
   mutable next_pkt_id : int; (* per-device packet id sequence *)
@@ -76,21 +73,18 @@ let pisa_cycles =
     template_fetch = 0;
   }
 
-let create ?(nstages = 8) ?(nports = 16) ?(cycles_cfg = pisa_cycles)
-    ?(linked = true) () =
+let create ?(nstages = 8) ?(nports = 16) ?(cycles_cfg = pisa_cycles) () =
   let tel = Telemetry.nop () in
   {
     registry = Net.Hdrdef.create_registry ();
     meta_layout = Net.Meta.Layout.create ();
     stages =
       Array.init nstages (fun id ->
-          { id; template = None; linked = None; flat = None; tables = Hashtbl.create 4 });
+          { id; template = None; flat = None; tables = Hashtbl.create 4 });
     nports;
     outputs = Array.init nports (fun _ -> Queue.create ());
     cycles_cfg;
     reloading = false;
-    use_linked = linked;
-    pgraph = None;
     fgraph = None;
     parse_ids = [||];
     flat_progs = [||];
@@ -141,16 +135,17 @@ type reload_report = {
   rr_config_bytes : int; (* full design volume, not a diff *)
 }
 
-(* Environment the decision-diagram builder compiles against: table
-   resolution is per stage-local memory, dispatched on the shim slot id. *)
-let fdd_env t : Ipsa.Linked.env =
+(* The environment the interpreter, the flat compiler and the diagram
+   builder all resolve against: table resolution is per stage-local
+   memory, dispatched on the stage (= shim slot) id. *)
+let env t : Ipsa.Tsp.env =
   {
-    Ipsa.Linked.registry = t.registry;
+    Ipsa.Tsp.registry = t.registry;
+    layout = t.meta_layout;
     find_table = (fun ~tsp name -> Hashtbl.find_opt t.stages.(tsp).tables name);
     cycles_cfg = t.cycles_cfg;
     tel = t.tel;
     probes = t.probes;
-    layout = t.meta_layout;
   }
 
 (* Install a full design: one template (merged stage group) per physical
@@ -206,40 +201,25 @@ let reload t ~(registry_headers : Net.Hdrdef.t list) ~first_header
       t.stages;
     (* Linking step: PISA performs it as part of the full-design compile,
        binding each stage's program against its local table memory. *)
-    t.pgraph <-
-      (if t.use_linked then Some (Ipsa.Linked.build_pgraph t.registry) else None);
+    let env = env t in
     let gaps = ref [] in
     Array.iter
       (fun stage ->
+        stage.flat <- None;
         match stage.template with
-        | Some tmpl when t.use_linked ->
-          let lenv =
-            {
-              Ipsa.Linked.registry = t.registry;
-              find_table = (fun ~tsp:_ name -> Hashtbl.find_opt stage.tables name);
-              cycles_cfg = t.cycles_cfg;
-              tel = t.tel;
-              probes = t.probes;
-              layout = t.meta_layout;
-            }
-          in
-          stage.linked <- Some (Ipsa.Linked.link lenv ~tsp:stage.id tmpl);
-          (match Ipsa.Flat.link_explained lenv ~tsp:stage.id tmpl with
+        | None -> ()
+        | Some tmpl -> (
+          match Ipsa.Flat.link_explained env ~tsp:stage.id tmpl with
           | Ok p -> stage.flat <- Some p
-          | Error reason ->
-            stage.flat <- None;
-            gaps := (stage.id, reason) :: !gaps)
-        | _ ->
-          stage.linked <- None;
-          stage.flat <- None)
+          | Error reason -> gaps := (stage.id, reason) :: !gaps))
       t.stages;
-    t.fgraph <- (if t.use_linked then Ipsa.Flat.link_parser t.registry else None);
+    t.fgraph <- Ipsa.Flat.link_parser t.registry;
     t.parse_ids <-
       Array.of_list
         (List.map
            (fun (d : Net.Hdrdef.t) -> d.Net.Hdrdef.id)
            (Net.Hdrdef.defs t.registry));
-    let flat_all = ref (t.use_linked && t.fgraph <> None) in
+    let flat_all = ref (t.fgraph <> None) in
     let progs = ref [] in
     Array.iter
       (fun stage ->
@@ -254,7 +234,7 @@ let reload t ~(registry_headers : Net.Hdrdef.t list) ~first_header
     (* Retarget the shim slots ([Tsp.load] bumps their stamps, keying the
        diagram's per-slot memo) and recompile the decision diagram. *)
     Array.iteri (fun i stage -> Ipsa.Tsp.load t.fdd_slots.(i) stage.template) t.stages;
-    Ipsa.Fdd.update t.fdd (fdd_env t) ~ingress:t.fdd_slots ~egress:[||] ();
+    Ipsa.Fdd.update t.fdd env ~ingress:t.fdd_slots ~egress:[||] ();
     Ok
       {
         rr_templates =
@@ -282,52 +262,31 @@ let front_parse t (ctx : Ipsa.Context.t) =
   | Some _first ->
     (* Walk as deep as the packet allows: request every defined header so
        the chain is followed to its end, as a PISA front parser would. *)
-    (match t.pgraph with
-    | Some pg ->
-      List.iter
-        (fun (def : Net.Hdrdef.t) ->
-          ignore (Ipsa.Linked.ensure_parsed pg ctx def.Net.Hdrdef.id))
-        (Net.Hdrdef.defs t.registry)
-    | None ->
-      List.iter
-        (fun (def : Net.Hdrdef.t) ->
-          ignore (Ipsa.Parse_engine.ensure_parsed ctx t.registry def.Net.Hdrdef.name))
-        (Net.Hdrdef.defs t.registry));
+    List.iter
+      (fun (def : Net.Hdrdef.t) ->
+        ignore (Ipsa.Parse_engine.ensure_parsed ctx t.registry def.Net.Hdrdef.name))
+      (Net.Hdrdef.defs t.registry);
     Ipsa.Context.add_cycles ctx
       (ctx.Ipsa.Context.parse_attempts * t.cycles_cfg.Ipsa.Cycles.parse_per_header)
-
-let env_for_stage t (stage : stage) : Ipsa.Tsp.env =
-  {
-    Ipsa.Tsp.registry = t.registry;
-    find_table = (fun ~tsp:_ name -> Hashtbl.find_opt stage.tables name);
-    cycles_cfg = t.cycles_cfg;
-    tel = t.tel;
-    probes = t.probes;
-  }
 
 (* The context-path pipeline walk: everything [inject] does after id
    stamping and the reload gate. Shared with the batch fallback. *)
 let process_pkt t pkt =
   let ctx = Ipsa.Context.create ~layout:t.meta_layout pkt in
   front_parse t ctx;
-  Array.iter
-    (fun stage ->
-      if not (Ipsa.Context.dropped ctx) then
-        match (stage.linked, stage.template) with
-        | Some prog, _ ->
-          (* pre-bound stage body: no per-packet template fetch *)
-          Ipsa.Linked.run_stages prog ctx
-        | None, Some tmpl ->
-          let env = env_for_stage t stage in
-          let slot = Ipsa.Tsp.make stage.id in
-          slot.Ipsa.Tsp.template <- Some tmpl;
-          slot.Ipsa.Tsp.powered <- true;
-          (* run the stage body directly: no per-packet template fetch *)
-          List.iter
-            (fun cs ->
-              if not (Ipsa.Context.dropped ctx) then Ipsa.Tsp.run_stage env slot ctx cs)
-            tmpl.Ipsa.Template.stages
-        | None, None -> ())
+  let env = env t in
+  Array.iteri
+    (fun i stage ->
+      match stage.template with
+      | Some tmpl when not (Ipsa.Context.dropped ctx) ->
+        (* run the stage body directly on its shim slot: no per-packet
+           template fetch *)
+        List.iter
+          (fun cs ->
+            if not (Ipsa.Context.dropped ctx) then
+              Ipsa.Tsp.run_stage env t.fdd_slots.(i) ctx cs)
+          tmpl.Ipsa.Template.stages
+      | _ -> ())
     t.stages;
   Ipsa.Context.finalize ctx;
   t.stats.total_cycles <- t.stats.total_cycles + ctx.Ipsa.Context.cycles;
@@ -424,15 +383,7 @@ let inject_batch t (pkts : Net.Packet.t array) :
         Net.Flatpkt.to_packet fp pkt;
         if port >= 0 then begin
           Queue.add pkt t.outputs.(port);
-          Some
-            {
-              Ipsa.Device.br_port = port;
-              br_meta = Net.Flatpkt.meta_bindings fp;
-              br_cycles = fp.Net.Flatpkt.cycles;
-              br_lookups = fp.Net.Flatpkt.lookups;
-              br_parse_attempts = fp.Net.Flatpkt.parse_attempts;
-              br_virt_misses = fp.Net.Flatpkt.virt_misses;
-            }
+          Some (Ipsa.Device.batch_result_of_flat port fp)
         end
         else None
       end
@@ -454,7 +405,7 @@ let fdd_node_count t = Ipsa.Fdd.node_count t.fdd
    ([Deploy.populate] inserts directly); resplice when they drifted. *)
 let ensure_fdd_fresh t =
   if Ipsa.Fdd.stale t.fdd then
-    Ipsa.Fdd.update t.fdd (fdd_env t) ~ingress:t.fdd_slots ~egress:[||] ()
+    Ipsa.Fdd.update t.fdd (env t) ~ingress:t.fdd_slots ~egress:[||] ()
 
 (* [process_flat] with the stage loop replaced by one diagram walk. The
    front parser still runs first; the per-stage parse nodes then find
@@ -493,15 +444,7 @@ let inject_batch_fdd t (pkts : Net.Packet.t array) :
         Net.Flatpkt.to_packet fp pkt;
         if port >= 0 then begin
           Queue.add pkt t.outputs.(port);
-          Some
-            {
-              Ipsa.Device.br_port = port;
-              br_meta = Net.Flatpkt.meta_bindings fp;
-              br_cycles = fp.Net.Flatpkt.cycles;
-              br_lookups = fp.Net.Flatpkt.lookups;
-              br_parse_attempts = fp.Net.Flatpkt.parse_attempts;
-              br_virt_misses = fp.Net.Flatpkt.virt_misses;
-            }
+          Some (Ipsa.Device.batch_result_of_flat port fp)
         end
         else None)
       pkts

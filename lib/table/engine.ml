@@ -6,7 +6,7 @@
    - the physical index chosen from the key's match kinds (exact hash
      map, LPM trie, TCAM priority list, or hash-bucket selection over
      the entry list), probed by the boxed [lookup] used by the string
-     interpreter and the linked closures;
+     interpreter;
    - the int-keyed *flat view* — the per-entry patterns ([ffm]/[fment])
      and caches previously private to [Ipsa.Flat] — rebuilt lazily when
      the generation moves and shared by the flat fast path and the FDD
@@ -582,7 +582,7 @@ let fentry_of (e : entry) =
     fe_args = Array.of_list (List.map B.to_int e.args);
   }
 
-(* The boxed lookup used by the interpreter and linked paths: counters,
+(* The boxed lookup used by the interpreter: counters,
    tier probe/escalation, then the index. Byte-for-byte the same hot key
    as the flat path's rendered scratch, so device twins on different
    paths evolve identical tier state. *)
@@ -648,7 +648,7 @@ let build_view t =
       (* The trie picks the longest matching prefix; an ordered scan over
          prefix-length-descending entries is equivalent. Deduplicate on
          the trie key (exact bits + prefix) keeping the newest entry,
-         since [Lpm_trie.insert] replaces. *)
+         since [Net.Lpm.insert] replaces. *)
       let seen = Hashtbl.create 16 in
       let items = ref [] in
       List.iter

@@ -35,7 +35,6 @@
 (* This file doubles as the library's root module (it shares the library
    name), so the sibling modules are re-exported here. *)
 module Key = Key
-module Lpm_trie = Lpm_trie
 module Tcam = Tcam
 module Engine = Engine
 

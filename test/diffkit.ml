@@ -1,6 +1,6 @@
 (* Shared differential-testing kit.
 
-   The linked, flat, fdd and symdiff suites all prove the same shape of
+   The flat, fdd, virt and symdiff suites all prove the same shape of
    theorem — "two executions of the same pipeline agree on everything a
    packet traversal can observably produce" — and they used to each carry
    a private copy of the traffic generators and the device-twin plumbing.
@@ -8,11 +8,11 @@
 
    - the random packet builders ([build_packet] for the use-case spread,
      [mixed_packet] for the deterministic radius stream);
-   - device-twin boot helpers ([boot_pair] / [boot_triple] / [boot_quad]);
+   - device-twin boot helpers ([boot_pair] / [boot_triple]);
    - one observation type covering egress port, metadata bindings, wire
      bytes and cycle/lookup/parse accounting, with [observe] (context
-     path), [observe_flat] (batched flat path) and [observe_fdd]
-     (decision-diagram path) producing it;
+     path: the reference interpreter), [observe_flat] (batched flat path)
+     and [observe_fdd] (decision-diagram path) producing it;
    - [assert_same_forwarding], the field-by-field comparison used by
      unit tests (QCheck properties compare observations structurally);
    - [to_alcotest], which threads a deterministic QCheck seed: runs are
@@ -80,32 +80,26 @@ let cases =
     ("c3_flow_probe", Some Harness.Paper.C3);
   ]
 
-let boot ?linked case =
-  let session, device = Harness.Cases.boot_base ?linked () in
+let boot case =
+  let session, device = Harness.Cases.boot_base () in
   (match case with
   | None -> ()
   | Some c -> ignore (Harness.Cases.apply_case session c));
   (session, device)
 
-(* One fast-path device plus one reference interpreter. *)
+(* Identically booted twins: driven with the same packet sequence, the
+   stateful hit counters of each advance in lockstep. Which path a twin
+   represents is decided by how it is observed ([observe_flat],
+   [observe_fdd] or the interpreter's [observe]), not by how it boots. *)
 let boot_pair case =
-  let _, dev_l = boot case in
-  let _, dev_i = boot ~linked:false case in
-  (dev_l, dev_i)
+  let _, a = boot case in
+  let _, b = boot case in
+  (a, b)
 
-(* flat / linked / interpreter triple: the stateful hit counters of each
-   twin advance in lockstep when driven with the same packet sequence. *)
 let boot_triple case =
-  let _, dev_f = boot case in
-  let _, dev_l = boot case in
-  let _, dev_i = boot ~linked:false case in
-  (dev_f, dev_l, dev_i)
-
-(* fdd / flat / linked / interpreter quad for the four-way property. *)
-let boot_quad case =
-  let _, dev_d = boot case in
-  let dev_f, dev_l, dev_i = boot_triple case in
-  (dev_d, dev_f, dev_l, dev_i)
+  let _, a = boot case in
+  let b, c = boot_pair case in
+  (a, b, c)
 
 (* --- virtualization twins ------------------------------------------------ *)
 
@@ -122,18 +116,69 @@ let virtualize_all device ~pct =
         Table.virtualize tb ~capacity:(max 1 (Table.entry_count tb * pct / 100)))
     (Ipsa.Device.table_names device)
 
-(* Virtualized twin of [boot_quad]: all four paths resolve through the
-   same engine tier, so driven with the same packet sequence they must
-   stay in exact lockstep with each other (including the modeled
-   escalation penalty) and agree with a fully-resident twin on
-   everything but timing. *)
-let boot_virt_quad ?(pct = 25) case =
-  let ((dev_d, dev_f, dev_l, dev_i) as q) = boot_quad case in
-  virtualize_all dev_d ~pct;
-  virtualize_all dev_f ~pct;
-  virtualize_all dev_l ~pct;
-  virtualize_all dev_i ~pct;
-  q
+(* --- a design with a flat gap -------------------------------------------- *)
+
+(* bit<64> arithmetic is outside the flat subset: a device booted with
+   this design is never [flat_ready], so its batch path runs on the
+   interpreter. The analyzer suite checks its flat-gap prediction against
+   it; the flat suite checks that batch fallback. *)
+let wide_arith_src =
+  {src|
+headers {
+  header ethernet {
+    bit<48> dst_addr;
+    bit<48> src_addr;
+    bit<16> ethertype;
+    implicit parser (ethertype) { }
+  }
+}
+
+structs {
+  struct metadata_t {
+    bit<64> acc;
+  } meta;
+}
+
+action bump() { meta.acc = meta.acc + 1; }
+action set_out(bit<16> port) { meta.out_port = port; }
+
+table wide_map {
+  key = { ethernet.dst_addr : exact; }
+  size = 16;
+}
+table out_map {
+  key = { meta.out_port : exact; }
+  size = 16;
+}
+
+control rP4_Ingress {
+  stage wide {
+    parser { ethernet };
+    matcher { wide_map.apply(); };
+    executor {
+      1 : set_out;
+      default : bump;
+    }
+  }
+}
+
+control rP4_Egress {
+  stage out_st {
+    parser { };
+    matcher { out_map.apply(); };
+    executor {
+      1 : set_out;
+      default : NoAction;
+    }
+  }
+}
+
+user_funcs {
+  func wide_fn { wide out_st }
+  ingress_entry : wide;
+  egress_entry : out_st;
+}
+|src}
 
 (* --- observations ------------------------------------------------------- *)
 
@@ -144,11 +189,8 @@ type observation =
   * string
   * (int * int * int) (* cycles, lookups, parse attempts *)
 
-(* Context path ([inject]): interpreter, or linked when programs exist. *)
-let observe device bytes ~in_port : observation =
-  let pkt = Net.Packet.create ~in_port bytes in
-  match Ipsa.Device.inject device pkt with
-  | Some (port, ctx) ->
+let observation_of_ctx pkt = function
+  | Some (port, (ctx : Ipsa.Context.t)) ->
     ( Some port,
       Net.Meta.bindings ctx.Ipsa.Context.meta,
       Net.Packet.contents ctx.Ipsa.Context.pkt,
@@ -157,31 +199,38 @@ let observe device bytes ~in_port : observation =
         ctx.Ipsa.Context.parse_attempts ) )
   | None -> (None, [], Net.Packet.contents pkt, (0, 0, 0))
 
-(* Same observable, via the batched flat path. *)
-let observe_flat device bytes ~in_port : observation =
-  let pkt = Net.Packet.create ~in_port bytes in
-  match Ipsa.Device.inject_batch device [| pkt |] with
-  | [| Some r |] ->
+(* The observation of one slot of a batch result; [pkt] is the injected
+   packet, written back in place. *)
+let observation_of_result pkt = function
+  | Some (r : Ipsa.Device.batch_result) ->
     ( Some r.Ipsa.Device.br_port,
       r.Ipsa.Device.br_meta,
       Net.Packet.contents pkt,
       ( r.Ipsa.Device.br_cycles,
         r.Ipsa.Device.br_lookups,
         r.Ipsa.Device.br_parse_attempts ) )
-  | _ -> (None, [], Net.Packet.contents pkt, (0, 0, 0))
+  | None -> (None, [], Net.Packet.contents pkt, (0, 0, 0))
+
+(* Context path ([inject]): the reference interpreter. *)
+let observe device bytes ~in_port : observation =
+  let pkt = Net.Packet.create ~in_port bytes in
+  observation_of_ctx pkt (Ipsa.Device.inject device pkt)
+
+(* The interpreter with a per-packet tracer attached: the trace hooks
+   must not change anything the packet observes. *)
+let observe_traced device bytes ~in_port : observation =
+  let pkt = Net.Packet.create ~in_port bytes in
+  observation_of_ctx pkt (fst (Ipsa.Device.inject_traced device pkt))
+
+(* Same observable, via the batched flat path. *)
+let observe_flat device bytes ~in_port : observation =
+  let pkt = Net.Packet.create ~in_port bytes in
+  observation_of_result pkt (Ipsa.Device.inject_batch device [| pkt |]).(0)
 
 (* Same observable, via the compiled decision diagram. *)
 let observe_fdd device bytes ~in_port : observation =
   let pkt = Net.Packet.create ~in_port bytes in
-  match Ipsa.Device.inject_batch_fdd device [| pkt |] with
-  | [| Some r |] ->
-    ( Some r.Ipsa.Device.br_port,
-      r.Ipsa.Device.br_meta,
-      Net.Packet.contents pkt,
-      ( r.Ipsa.Device.br_cycles,
-        r.Ipsa.Device.br_lookups,
-        r.Ipsa.Device.br_parse_attempts ) )
-  | _ -> (None, [], Net.Packet.contents pkt, (0, 0, 0))
+  observation_of_result pkt (Ipsa.Device.inject_batch_fdd device [| pkt |]).(0)
 
 (* --- comparison --------------------------------------------------------- *)
 

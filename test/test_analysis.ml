@@ -789,70 +789,12 @@ let test_session_protect_gate () =
     | Error errs ->
       Alcotest.failf "commit after unprotect failed: %s" (String.concat "; " errs))
 
-(* --- flat-path prediction vs. the device's linker ------------------------ *)
+(* --- flat-path prediction vs. the device's compiler ---------------------- *)
 
 (* bit<64> arithmetic is outside the flat subset: the analyzer must
    predict the gap that Device.relink later reports for the same TSP. *)
-let wide_arith_src =
-  {src|
-headers {
-  header ethernet {
-    bit<48> dst_addr;
-    bit<48> src_addr;
-    bit<16> ethertype;
-    implicit parser (ethertype) { }
-  }
-}
-
-structs {
-  struct metadata_t {
-    bit<64> acc;
-  } meta;
-}
-
-action bump() { meta.acc = meta.acc + 1; }
-action set_out(bit<16> port) { meta.out_port = port; }
-
-table wide_map {
-  key = { ethernet.dst_addr : exact; }
-  size = 16;
-}
-table out_map {
-  key = { meta.out_port : exact; }
-  size = 16;
-}
-
-control rP4_Ingress {
-  stage wide {
-    parser { ethernet };
-    matcher { wide_map.apply(); };
-    executor {
-      1 : set_out;
-      default : bump;
-    }
-  }
-}
-
-control rP4_Egress {
-  stage out_st {
-    parser { };
-    matcher { out_map.apply(); };
-    executor {
-      1 : set_out;
-      default : NoAction;
-    }
-  }
-}
-
-user_funcs {
-  func wide_fn { wide out_st }
-  ingress_entry : wide;
-  egress_entry : out_st;
-}
-|src}
-
 let test_flat_prediction_matches_device () =
-  let prog = Rp4.Parser.parse_string wide_arith_src in
+  let prog = Rp4.Parser.parse_string Diffkit.wide_arith_src in
   let pool = Ipsa.Device.default_pool () in
   match Rp4bc.Compile.compile_full ~pool prog with
   | Error errs -> Alcotest.failf "wide compile failed: %s" (String.concat "; " errs)

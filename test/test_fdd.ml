@@ -1,6 +1,6 @@
 (* The whole-pipeline decision diagram: the compiled FDD must be an exact
-   behavioural twin of the flat batch path, the linked path and the
-   reference interpreter for every bundled use case; its incremental
+   behavioural twin of the flat batch path and the reference interpreter
+   for every bundled use case; its incremental
    update (memoised resplice over the blast radius) must produce roots
    physically equal to a from-scratch recompile; its rendering is pinned
    by golden files; and the walk allocates (next to) nothing per packet.
@@ -11,31 +11,30 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
-(* --- four-way equivalence ----------------------------------------------- *)
+(* --- three-way equivalence ---------------------------------------------- *)
 
 let equivalence_prop name case =
-  (* One device quad per property: QCheck drives the same packet sequence
-     through all four, keeping stateful hit counters in lockstep. The fdd
-     device must actually compile the whole pipeline, or the property
-     degenerates. *)
+  (* One device triple per property: QCheck drives the same packet
+     sequence through all three, keeping stateful hit counters in
+     lockstep. The fdd device must actually compile the whole pipeline,
+     or the property degenerates. *)
   let devices =
     lazy
-      (let (dev_d, _, _, _) as q = Diffkit.boot_quad case in
+      (let (dev_d, _, _) as t = Diffkit.boot_triple case in
        if not (Ipsa.Device.fdd_ready dev_d) then
          Alcotest.failf "%s: fdd does not cover the pipeline" name;
-       q)
+       t)
   in
   QCheck.Test.make ~count:Diffkit.equivalence_count
-    ~name:(name ^ ": fdd = flat = linked = interpreter")
+    ~name:(name ^ ": fdd = flat = interpreter")
     Diffkit.packet_spec
     (fun ((_, _, in_port) as spec) ->
-      let dev_d, dev_f, dev_l, dev_i = Lazy.force devices in
+      let dev_d, dev_f, dev_i = Lazy.force devices in
       let bytes = Net.Packet.contents (Diffkit.build_packet spec) in
       let d = Diffkit.observe_fdd dev_d bytes ~in_port in
       let f = Diffkit.observe_flat dev_f bytes ~in_port in
-      let l = Diffkit.observe dev_l bytes ~in_port in
       let i = Diffkit.observe dev_i bytes ~in_port in
-      d = f && f = l && l = i)
+      d = f && f = i)
 
 let equivalence_tests =
   List.map
@@ -159,7 +158,7 @@ let test_zero_alloc () =
     (Printf.sprintf "%.4f bytes allocated per packet" per_pkt)
     true (per_pkt < 2.0);
   (* the walk still forwards: same port and wire bytes as the interpreter *)
-  let _, dev_i = Harness.Cases.boot_base ~linked:false () in
+  let _, dev_i = Harness.Cases.boot_base () in
   let port_i, _, bytes_i, _ = Diffkit.observe dev_i bytes ~in_port:0 in
   let port_d = Ipsa.Device.inject_fdd device ~in_port:0 bytes in
   check (Alcotest.option int) "port matches interpreter" port_i

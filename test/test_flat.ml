@@ -1,7 +1,9 @@
 (* The zero-allocation batched fast path: the flat engine must be an
-   exact behavioural twin of the linked path and the reference
-   interpreter for every bundled use case, survive relinks with its ring
-   records reused, and allocate nothing per packet in steady state. *)
+   exact behavioural twin of the reference interpreter for every bundled
+   use case, survive relinks with its ring records reused, and allocate
+   nothing per packet in steady state. The batch entry point's other
+   branches — the interpreter fallback of a design with a flat gap, and
+   buffering during an update — must match [inject] as well. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -50,7 +52,7 @@ let test_tm_pass () =
   check int "refusal not enqueued" 2 e;
   check int "refusal counted as drop" 1 d
 
-(* --- flat batch = linked = reference interpreter ------------------------ *)
+(* --- flat batch = reference interpreter --------------------------------- *)
 
 (* Twin boot, traffic generators and observation come from [Diffkit]. *)
 let observe_ctx = Diffkit.observe
@@ -58,27 +60,24 @@ let observe_flat = Diffkit.observe_flat
 let build_packet = Diffkit.build_packet
 
 let equivalence_prop name case =
-  (* One device triple per property: QCheck drives the same packet
-     sequence through all three, keeping stateful hit counters in
-     lockstep. The flat device must actually compile the whole pipeline
-     into the flat subset, or the test degenerates into linked=linked. *)
+  (* One device pair per property: QCheck drives the same packet
+     sequence through both, keeping stateful hit counters in lockstep.
+     The flat device must actually compile the whole pipeline into the
+     flat subset, or the batch path degenerates into the interpreter. *)
   let devices =
     lazy
-      (let (dev_f, _, _) as t = Diffkit.boot_triple case in
+      (let (dev_f, _) as p = Diffkit.boot_pair case in
        if not (Ipsa.Device.flat_ready dev_f) then
          Alcotest.failf "%s: flat plan does not cover the pipeline" name;
-       t)
+       p)
   in
   QCheck.Test.make ~count:Diffkit.equivalence_count
-    ~name:(name ^ ": flat batch = linked = interpreter")
+    ~name:(name ^ ": flat batch = interpreter")
     Diffkit.packet_spec
     (fun ((_, _, in_port) as spec) ->
-      let dev_f, dev_l, dev_i = Lazy.force devices in
+      let dev_f, dev_i = Lazy.force devices in
       let bytes = Net.Packet.contents (build_packet spec) in
-      let f = observe_flat dev_f bytes ~in_port in
-      let l = observe_ctx dev_l bytes ~in_port in
-      let i = observe_ctx dev_i bytes ~in_port in
-      f = l && l = i)
+      observe_flat dev_f bytes ~in_port = observe_ctx dev_i bytes ~in_port)
 
 let equivalence_tests =
   List.map
@@ -88,7 +87,7 @@ let equivalence_tests =
 (* A many-packet batch through one device matches packet-at-a-time
    injection into an identically-configured twin. *)
 let test_batch_many () =
-  let dev_f, dev_l, _ = Diffkit.boot_triple (Some Harness.Paper.C1) in
+  let dev_f, dev_i = Diffkit.boot_pair (Some Harness.Paper.C1) in
   check bool "flat ready" true (Ipsa.Device.flat_ready dev_f);
   let specs = List.init 64 (fun i -> (i mod 5, i, i mod 8)) in
   let mk (_, _, in_port) bytes = Net.Packet.create ~in_port bytes in
@@ -101,7 +100,7 @@ let test_batch_many () =
   let results = Ipsa.Device.inject_batch dev_f batch in
   List.iteri
     (fun i ((_, _, in_port), bytes) ->
-      let expect, _, expect_bytes, _ = observe_ctx dev_l bytes ~in_port in
+      let expect, _, expect_bytes, _ = observe_ctx dev_i bytes ~in_port in
       let got =
         match results.(i) with Some r -> Some r.Ipsa.Device.br_port | None -> None
       in
@@ -116,7 +115,7 @@ let test_batch_many () =
 
 let test_relink_rebuilds_plan () =
   let session_f, dev_f = Harness.Cases.boot_base () in
-  let session_i, dev_i = Harness.Cases.boot_base ~linked:false () in
+  let session_i, dev_i = Harness.Cases.boot_base () in
   check bool "flat ready at boot" true (Ipsa.Device.flat_ready dev_f);
   let bytes =
     Net.Packet.contents (Net.Flowgen.ipv4_udp Usecases.Base_l23.routed_v4_flow)
@@ -138,6 +137,91 @@ let test_relink_rebuilds_plan () =
       (observe_flat dev_f b ~in_port:(i mod 8)
       = observe_ctx dev_i b ~in_port:(i mod 8))
   done
+
+(* --- the batch path's non-flat branches --------------------------------- *)
+
+(* A design with a flat gap (64-bit metadata arithmetic), with half of
+   the destination MACs resolving to a port and the rest missing into the
+   64-bit [bump] default. *)
+let boot_wide () =
+  let prog = Rp4.Parser.parse_string Diffkit.wide_arith_src in
+  let c =
+    match Rp4bc.Compile.compile_full ~pool:(Ipsa.Device.default_pool ()) prog with
+    | Ok c -> c
+    | Error errs -> Alcotest.failf "wide compile: %s" (String.concat "; " errs)
+  in
+  let device = Ipsa.Device.create ~ntsps:8 () in
+  (match Ipsa.Device.apply_patch device c.Rp4bc.Compile.patch with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "wide boot: %s" e);
+  let wide_map = Option.get (Ipsa.Device.find_table device "wide_map") in
+  for i = 0 to 3 do
+    Table.insert wide_map
+      ~matches:[ Table.Key.M_exact (Net.Addr.Mac.to_bits (Net.Addr.Mac.of_index i)) ]
+      ~action:"1"
+      ~args:[ Net.Bits.of_int ~width:16 (i + 1) ]
+      ()
+  done;
+  device
+
+(* With no flat plan, [inject_batch] runs every packet on the interpreter:
+   port, metadata, bytes and accounting must match [inject] on a twin. *)
+let test_batch_flat_gap () =
+  let dev_b = boot_wide () and dev_i = boot_wide () in
+  check bool "design is off the flat path" false (Ipsa.Device.flat_ready dev_b);
+  let in_port i = i mod 8 in
+  let batch =
+    Array.init 16 (fun i ->
+        Net.Flowgen.l2 ~in_port:(in_port i)
+          (Net.Flowgen.make_flow ~dst_mac:(Net.Addr.Mac.of_index (i mod 8)) ()))
+  in
+  let bytes = Array.map Net.Packet.contents batch in
+  let results = Ipsa.Device.inject_batch dev_b batch in
+  Array.iteri
+    (fun i r ->
+      let got = Diffkit.observation_of_result batch.(i) r in
+      Diffkit.assert_same_forwarding
+        ~what:(Printf.sprintf "packet %d" i)
+        got
+        (Diffkit.observe dev_i bytes.(i) ~in_port:(in_port i));
+      (* the misses really ran the 64-bit default action *)
+      if i mod 8 >= 4 then
+        let _, meta, _, _ = got in
+        check (Alcotest.option int)
+          (Printf.sprintf "packet %d bumped meta.acc" i)
+          (Some 1)
+          (Option.map Net.Bits.to_int (List.assoc_opt "acc" meta)))
+    results
+
+(* During an update a batch is buffered, not processed: every slot is
+   [None], the buffer counter grows by the batch size, and [end_update]
+   releases the packets into the output queues exactly as a twin driven
+   by [inject] forwards them. *)
+let test_batch_during_update () =
+  let _, dev = Harness.Cases.boot_base () in
+  let _, twin = Harness.Cases.boot_base () in
+  let specs = List.init 12 (fun i -> (i mod 5, i, i mod 8)) in
+  let bytes = List.map (fun spec -> Net.Packet.contents (build_packet spec)) specs in
+  let batch =
+    Array.of_list
+      (List.map2 (fun (_, _, in_port) b -> Net.Packet.create ~in_port b) specs bytes)
+  in
+  let buffered () = (Ipsa.Device.stats dev).Ipsa.Device.buffered_during_update in
+  let buffered0 = buffered () in
+  Ipsa.Device.begin_update dev;
+  let results = Ipsa.Device.inject_batch dev batch in
+  check bool "every slot is None" true (Array.for_all Option.is_none results);
+  check int "buffered_during_update grew by the batch size"
+    (buffered0 + Array.length batch)
+    (buffered ());
+  check int "nothing delivered mid-update" 0 (List.length (Ipsa.Device.collect_all dev));
+  Ipsa.Device.end_update dev;
+  List.iter2 (fun (_, _, in_port) b -> ignore (observe_ctx twin b ~in_port)) specs bytes;
+  let delivered d = List.map Net.Packet.contents (Ipsa.Device.collect_all d) in
+  let released = delivered dev in
+  check bool "released packets reach the output queues" true (released <> []);
+  check (Alcotest.list Alcotest.string) "released = what the twin forwards"
+    (delivered twin) released
 
 (* --- steady-state allocation ------------------------------------------- *)
 
@@ -165,7 +249,7 @@ let test_zero_alloc () =
     true (per_pkt < 1.0);
   (* The fast path still forwards: same port and wire bytes as a
      context-path twin. *)
-  let _, dev_i = Harness.Cases.boot_base ~linked:false () in
+  let _, dev_i = Harness.Cases.boot_base () in
   let port_i, _, bytes_i, _ = observe_ctx dev_i bytes ~in_port:0 in
   let port_f = Ipsa.Device.inject_flat device ~in_port:0 bytes in
   check (Alcotest.option int) "port matches interpreter" port_i
@@ -188,5 +272,8 @@ let () =
           Alcotest.test_case "many-packet batch" `Quick test_batch_many;
           Alcotest.test_case "relink rebuilds plan" `Quick test_relink_rebuilds_plan;
           Alcotest.test_case "zero allocation" `Quick test_zero_alloc;
+          Alcotest.test_case "interpreter fallback on a flat gap" `Quick
+            test_batch_flat_gap;
+          Alcotest.test_case "buffered during update" `Quick test_batch_during_update;
         ] );
     ]

@@ -1,7 +1,8 @@
 (* Tests for the IPSA behavioral model: templates (JSON round trip), the
    distributed parse engine, TSP execution, the elastic pipeline and its
-   selector invariant, the traffic manager, and the device's CCM patch
-   application including failure paths. *)
+   selector invariant, the traffic manager, the device's CCM patch
+   application including failure paths, per-device packet ids, and the
+   flat plan every patch recompiles. *)
 
 module B = Net.Bits
 
@@ -319,6 +320,60 @@ let test_device_collect () =
   check Alcotest.int "collected on port 9" 1 (List.length out);
   check Alcotest.int "queue cleared" 0 (List.length (Ipsa.Device.collect device 9))
 
+(* --- per-device packet ids ------------------------------------------------------------ *)
+
+let test_packet_ids () =
+  let d1 = Ipsa.Device.create ~ntsps:2 () in
+  let d2 = Ipsa.Device.create ~ntsps:2 () in
+  let mk () = Net.Packet.create ~in_port:0 (String.make 64 '\x00') in
+  let p1 = mk () and p2 = mk () and p3 = mk () in
+  ignore (Ipsa.Device.inject d1 p1);
+  ignore (Ipsa.Device.inject d1 p2);
+  ignore (Ipsa.Device.inject d2 p3);
+  check Alcotest.int "device1 first id" 1 (Net.Packet.id p1);
+  check Alcotest.int "device1 second id" 2 (Net.Packet.id p2);
+  check Alcotest.int "device2 restarts at 1" 1 (Net.Packet.id p3)
+
+(* --- relink: every patch recompiles the flat plan ------------------------------------ *)
+
+let flat_plan device =
+  Array.append device.Ipsa.Device.flat_ingress device.Ipsa.Device.flat_egress
+
+let powered_templates device =
+  let p = Ipsa.Device.pipeline device in
+  List.init (Ipsa.Pipeline.ntsps p) (Ipsa.Pipeline.slot p)
+  |> List.filter (fun s -> s.Ipsa.Tsp.powered && s.Ipsa.Tsp.template <> None)
+  |> List.length
+
+(* Boot compiles every powered template; a patch (which creates the ecmp
+   tables and frees nexthop) recompiles them, and the rebuilt programs
+   resolve the new tables — traffic keeps forwarding identically to the
+   interpreter. *)
+let test_relink_after_patch () =
+  let session, device = Harness.Cases.boot_base () in
+  check Alcotest.int "every powered template is compiled at boot"
+    (powered_templates device)
+    (Array.length (flat_plan device));
+  let before = Array.map snd (flat_plan device) in
+  ignore (Harness.Cases.apply_case session Harness.Paper.C1);
+  check Alcotest.bool "flat plan covers the patched pipeline" true
+    (Ipsa.Device.flat_ready device);
+  check Alcotest.int "every powered template is compiled after the patch"
+    (powered_templates device)
+    (Array.length (flat_plan device));
+  check Alcotest.bool "relink rebuilt the programs" false
+    (Array.exists (fun (_, prog) -> Array.exists (( == ) prog) before) (flat_plan device));
+  let _, dev_i = Diffkit.boot (Some Harness.Paper.C1) in
+  let bytes =
+    Net.Packet.contents (Net.Flowgen.ipv4_udp Usecases.Base_l23.routed_v4_flow)
+  in
+  let got = Diffkit.observe_flat device bytes ~in_port:0 in
+  Diffkit.assert_same_forwarding ~what:"post-patch traffic" got
+    (Diffkit.observe dev_i bytes ~in_port:0);
+  match got with
+  | Some _, _, _, _ -> ()
+  | None, _, _, _ -> Alcotest.fail "post-patch packet was dropped"
+
 (* --- cycles model ------------------------------------------------------------------ *)
 
 let test_cycles_model () =
@@ -373,4 +428,7 @@ let () =
           Alcotest.test_case "collect" `Quick test_device_collect;
         ] );
       ("cycles", [ Alcotest.test_case "model" `Quick test_cycles_model ]);
+      ( "prebind",
+        [ Alcotest.test_case "per-device packet ids" `Quick test_packet_ids ] );
+      ("relink", [ Alcotest.test_case "after patch" `Quick test_relink_after_patch ]);
     ]

@@ -1,6 +1,7 @@
 (* Tests for the net substrate: bit vectors, bit fields, addresses,
    protocol codecs, header definitions/linkage, parsed-header maps,
-   metadata and the traffic generator. *)
+   metadata, the id-keyed accessors template compilation binds to, and
+   the traffic generator. *)
 
 module B = Net.Bits
 
@@ -425,6 +426,107 @@ let test_meta () =
   Net.Meta.set_int c "foo" 1;
   check Alcotest.int "copy is independent" (5000 land 0xFFF) (Net.Meta.get_int m "foo")
 
+(* --- prebind: the id-keyed building blocks of template compilation ------------- *)
+
+let test_intern () =
+  let a = Net.Intern.id "test_prebind_alpha" in
+  let b = Net.Intern.id "test_prebind_beta" in
+  check Alcotest.bool "distinct names, distinct ids" true (a <> b);
+  check Alcotest.int "id is stable" a (Net.Intern.id "test_prebind_alpha");
+  check Alcotest.string "name roundtrip" "test_prebind_alpha" (Net.Intern.name a);
+  check Alcotest.bool "mem after intern" true (Net.Intern.mem "test_prebind_alpha");
+  check Alcotest.bool "mem before intern" false
+    (Net.Intern.mem "test_prebind_never_interned")
+
+let test_fieldref () =
+  check (Alcotest.pair Alcotest.string Alcotest.string) "split" ("ipv4", "ttl")
+    (Net.Fieldref.split "ipv4.ttl");
+  check (Alcotest.option (Alcotest.pair Alcotest.string Alcotest.string))
+    "split_opt none" None
+    (Net.Fieldref.split_opt "nodot");
+  check Alcotest.bool "is_meta" true (Net.Fieldref.is_meta "meta.l3_nexthop");
+  check Alcotest.bool "is_meta hdr" false (Net.Fieldref.is_meta "ipv4.ttl");
+  Alcotest.check_raises "malformed raises"
+    (Invalid_argument "Fieldref.split: malformed field reference nodot") (fun () ->
+      ignore (Net.Fieldref.split "nodot"))
+
+let test_meta_layout () =
+  let l = Net.Meta.Layout.create () in
+  (* intrinsics occupy the documented fixed slots *)
+  List.iteri
+    (fun i (n, w) ->
+      check (Alcotest.option Alcotest.int) ("slot of " ^ n) (Some i)
+        (Net.Meta.Layout.slot l n);
+      check Alcotest.int ("width of " ^ n) w (Net.Meta.Layout.width l i))
+    Net.Meta.intrinsic;
+  check (Alcotest.option Alcotest.int) "in_port slot constant" (Some Net.Meta.slot_in_port)
+    (Net.Meta.Layout.slot l "in_port");
+  check (Alcotest.option Alcotest.int) "switch_tag slot constant"
+    (Some Net.Meta.slot_switch_tag)
+    (Net.Meta.Layout.slot l "switch_tag");
+  Net.Meta.Layout.declare l "probe_ctr" 32;
+  let s = Option.get (Net.Meta.Layout.slot l "probe_ctr") in
+  check Alcotest.int "declared width" 32 (Net.Meta.Layout.width l s);
+  Net.Meta.Layout.declare l "probe_ctr" 16;
+  check Alcotest.int "re-declare replaces width" 16 (Net.Meta.Layout.width l s);
+  (* packets created in the shared layout see the field through both the
+     slot and the name accessors *)
+  let m = Net.Meta.create_in l in
+  Net.Meta.set_int_slot m s 0x1234;
+  check Alcotest.int "slot write, name read" 0x1234 (Net.Meta.get_int m "probe_ctr");
+  Net.Meta.set_int m "probe_ctr" 7;
+  check Alcotest.int "name write, slot read" 7 (Net.Meta.get_int_slot m s);
+  (* a field declared after the meta was created is readable (zero) *)
+  Net.Meta.Layout.declare l "late_field" 8;
+  let late = Option.get (Net.Meta.Layout.slot l "late_field") in
+  check Alcotest.int "late declare reads zero" 0 (Net.Meta.get_int_slot m late);
+  Net.Meta.set_int_slot m late 5;
+  check Alcotest.int "late declare writable" 5 (Net.Meta.get_int m "late_field");
+  (* bindings are sorted by name *)
+  let names = List.map fst (Net.Meta.bindings m) in
+  check Alcotest.bool "bindings sorted" true (names = List.sort compare names)
+
+let eth_def =
+  Net.Hdrdef.make ~name:"zz_eth_test"
+    ~fields:
+      [
+        { Net.Hdrdef.f_name = "dst"; f_width = 48 };
+        { Net.Hdrdef.f_name = "src"; f_width = 48 };
+        { Net.Hdrdef.f_name = "ethertype"; f_width = 16 };
+      ]
+    ~sel_fields:[ "ethertype" ]
+
+let aa_def =
+  Net.Hdrdef.make ~name:"aa_hdr_test"
+    ~fields:[ { Net.Hdrdef.f_name = "v"; f_width = 8 } ]
+    ~sel_fields:[]
+
+let test_pmap_ids () =
+  let pm = Net.Pmap.create () in
+  Net.Pmap.add pm ~def:eth_def ~bit_off:0;
+  Net.Pmap.add pm ~def:aa_def ~bit_off:112;
+  check (Alcotest.list Alcotest.string) "names sorted" [ "aa_hdr_test"; "zz_eth_test" ]
+    (Net.Pmap.names pm);
+  let pkt = Net.Packet.create (String.make 32 '\xAB') in
+  let hid = eth_def.Net.Hdrdef.id in
+  check Alcotest.bool "is_valid_id" true (Net.Pmap.is_valid_id pm hid);
+  (* id accessors agree with the string path *)
+  let off, width = Net.Hdrdef.field_offset_exn eth_def "ethertype" in
+  let via_id = Net.Pmap.get_field_id pkt pm ~hid ~off ~width in
+  let via_name = Net.Pmap.get_field pkt pm ~hdr:"zz_eth_test" ~field:"ethertype" in
+  check Alcotest.bool "get agrees" true (via_id = via_name);
+  let v = B.of_int ~width 0x86DD in
+  check Alcotest.bool "set_field_id writes" true (Net.Pmap.set_field_id pkt pm ~hid ~off v);
+  check Alcotest.bool "write visible" true
+    (Net.Pmap.get_field pkt pm ~hdr:"zz_eth_test" ~field:"ethertype"
+    = Some (B.of_int ~width 0x86DD));
+  Net.Pmap.invalidate_id pm hid;
+  check Alcotest.bool "invalidate_id" false (Net.Pmap.is_valid_id pm hid);
+  check Alcotest.bool "set on invalid returns false" false
+    (Net.Pmap.set_field_id pkt pm ~hid ~off v);
+  check (Alcotest.list Alcotest.string) "names excludes invalid" [ "aa_hdr_test" ]
+    (Net.Pmap.names pm)
+
 (* --- flowgen ------------------------------------------------------------------- *)
 
 let test_flowgen_shapes () =
@@ -531,6 +633,13 @@ let () =
           Alcotest.test_case "shift" `Quick test_pmap_shift;
         ] );
       ("meta", [ Alcotest.test_case "basics" `Quick test_meta ]);
+      ( "prebind",
+        [
+          Alcotest.test_case "intern" `Quick test_intern;
+          Alcotest.test_case "fieldref" `Quick test_fieldref;
+          Alcotest.test_case "meta layout" `Quick test_meta_layout;
+          Alcotest.test_case "pmap ids" `Quick test_pmap_ids;
+        ] );
       ( "flowgen",
         [
           Alcotest.test_case "shapes" `Quick test_flowgen_shapes;

@@ -1,47 +1,64 @@
-(* Tests for the match-table library: LPM trie, TCAM, and the unified
-   table with its four engines (exact / lpm / ternary / hash), checked
-   against naive reference implementations with property tests. *)
+(* Tests for the match-table library: TCAM and the unified table with its
+   four engines (exact / lpm / ternary / hash), checked against naive
+   reference implementations with property tests. *)
 
 module B = Net.Bits
 module K = Table.Key
 
 let check = Alcotest.check
 
-(* --- LPM trie ----------------------------------------------------------- *)
+(* --- LPM engine: a Table over the Net.Lpm trie --------------------------- *)
+
+(* Single-field LPM tables exercise the engine's Bits -> raw-key
+   conversion, its replace/remove bookkeeping and the entry list next to
+   the trie; [Net.Lpm] itself is covered by test_lpm.ml. *)
 
 let ip v = B.of_int ~width:32 v
 
+let lpm_only ?(width = 32) () =
+  Table.create
+    {
+      Table.name = "t_lpm_only";
+      fields = [ { K.kf_ref = "h.dst"; kf_width = width; kf_kind = K.Lpm } ];
+      size = 1024;
+    }
+
+let lpm_add t prefix plen action =
+  Table.insert t ~matches:[ K.M_lpm (prefix, plen) ] ~action ~args:[] ()
+
+let lpm_action t key = Option.map (fun e -> e.Table.action) (Table.lookup t [ key ])
+
 let test_lpm_basic () =
-  let t = Table.Lpm_trie.create () in
-  Table.Lpm_trie.insert t ~prefix:(ip 0x0A000000) ~plen:8 "10/8";
-  Table.Lpm_trie.insert t ~prefix:(ip 0x0A010000) ~plen:16 "10.1/16";
-  Table.Lpm_trie.insert t ~prefix:(ip 0x0A010200) ~plen:24 "10.1.2/24";
+  let t = lpm_only () in
+  lpm_add t (ip 0x0A000000) 8 "10/8";
+  lpm_add t (ip 0x0A010000) 16 "10.1/16";
+  lpm_add t (ip 0x0A010200) 24 "10.1.2/24";
   check (Alcotest.option Alcotest.string) "most specific wins" (Some "10.1.2/24")
-    (Table.Lpm_trie.lookup t (ip 0x0A010203));
+    (lpm_action t (ip 0x0A010203));
   check (Alcotest.option Alcotest.string) "middle prefix" (Some "10.1/16")
-    (Table.Lpm_trie.lookup t (ip 0x0A01FF00));
+    (lpm_action t (ip 0x0A01FF00));
   check (Alcotest.option Alcotest.string) "short prefix" (Some "10/8")
-    (Table.Lpm_trie.lookup t (ip 0x0AFFFFFF));
-  check (Alcotest.option Alcotest.string) "miss" None
-    (Table.Lpm_trie.lookup t (ip 0x0B000000))
+    (lpm_action t (ip 0x0AFFFFFF));
+  check (Alcotest.option Alcotest.string) "miss" None (lpm_action t (ip 0x0B000000))
 
 let test_lpm_default_route () =
-  let t = Table.Lpm_trie.create () in
-  Table.Lpm_trie.insert t ~prefix:(ip 0) ~plen:0 "default";
+  let t = lpm_only () in
+  lpm_add t (ip 0) 0 "default";
   check (Alcotest.option Alcotest.string) "plen 0 matches all" (Some "default")
-    (Table.Lpm_trie.lookup t (ip 0xDEADBEEF))
+    (lpm_action t (ip 0xDEADBEEF))
 
 let test_lpm_remove_and_prune () =
-  let t = Table.Lpm_trie.create () in
-  Table.Lpm_trie.insert t ~prefix:(ip 0x0A000000) ~plen:8 "a";
-  Table.Lpm_trie.insert t ~prefix:(ip 0x0A010000) ~plen:16 "b";
-  check Alcotest.int "count" 2 (Table.Lpm_trie.count t);
-  check Alcotest.bool "remove hits" true (Table.Lpm_trie.remove t ~prefix:(ip 0x0A010000) ~plen:16);
+  let t = lpm_only () in
+  lpm_add t (ip 0x0A000000) 8 "a";
+  lpm_add t (ip 0x0A010000) 16 "b";
+  check Alcotest.int "count" 2 (Table.entry_count t);
+  check Alcotest.bool "remove hits" true
+    (Table.delete t [ K.M_lpm (ip 0x0A010000, 16) ]);
   check Alcotest.bool "remove idempotent" false
-    (Table.Lpm_trie.remove t ~prefix:(ip 0x0A010000) ~plen:16);
-  check Alcotest.int "count after" 1 (Table.Lpm_trie.count t);
+    (Table.delete t [ K.M_lpm (ip 0x0A010000, 16) ]);
+  check Alcotest.int "count after" 1 (Table.entry_count t);
   check (Alcotest.option Alcotest.string) "fallback after remove" (Some "a")
-    (Table.Lpm_trie.lookup t (ip 0x0A010203))
+    (lpm_action t (ip 0x0A010203))
 
 (* naive reference LPM *)
 let naive_lpm entries key =
@@ -58,24 +75,26 @@ let naive_lpm entries key =
     None entries
   |> Option.map snd
 
+(* 24-bit keys: an odd width, so the raw key is not byte-aligned. *)
 let prop_lpm_vs_naive =
   QCheck.Test.make ~count:200 ~name:"lpm trie = naive reference"
     QCheck.(pair (small_list (pair (int_range 0 0xFFFFFF) (int_range 0 24))) (int_range 0 0xFFFFFF))
     (fun (raw_entries, raw_key) ->
-      let t = Table.Lpm_trie.create () in
+      let t = lpm_only ~width:24 () in
+      (* canonical prefixes (host bits cleared), so the entry list and
+         the trie agree on which inserts replace *)
       let entries =
         List.mapi
           (fun i (v, plen) ->
-            let prefix = B.of_int ~width:24 v in
-            (prefix, plen, i))
+            let prefix = B.of_int ~width:24 (v land lnot ((1 lsl (24 - plen)) - 1)) in
+            (prefix, plen, string_of_int i))
           raw_entries
       in
-      (* deduplicate by (prefix bits, plen): trie replaces, naive must too *)
       let seen = Hashtbl.create 8 in
       let entries =
         List.filter
           (fun (p, plen, _) ->
-            let k = (B.to_hex (B.slice p ~off:0 ~len:plen), plen) in
+            let k = (B.to_hex p, plen) in
             if Hashtbl.mem seen k then false
             else begin
               Hashtbl.add seen k ();
@@ -83,9 +102,9 @@ let prop_lpm_vs_naive =
             end)
           entries
       in
-      List.iter (fun (p, plen, v) -> Table.Lpm_trie.insert t ~prefix:p ~plen v) entries;
+      List.iter (fun (p, plen, v) -> lpm_add t p plen v) entries;
       let key = B.of_int ~width:24 raw_key in
-      Table.Lpm_trie.lookup t key = naive_lpm entries key)
+      lpm_action t key = naive_lpm entries key)
 
 (* --- TCAM ---------------------------------------------------------------- *)
 
