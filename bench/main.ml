@@ -126,30 +126,8 @@ let bench_packet_path_flat =
          ignore
            (Ipsa.Device.inject_flat device ~in_port:0 (Lazy.force routed_v4_bytes))))
 
-(* packet-forward-fdd: the same wire bytes through the whole-pipeline
-   decision diagram — every stage boundary, guard and table program
-   pre-resolved into one pointer-chased graph. *)
-let fdd_device =
-  lazy
-    (let _, device = Harness.Cases.boot_base () in
-     if not (Ipsa.Device.fdd_ready device) then
-       failwith "bench: base design did not compile into a complete fdd";
-     device)
-
-let bench_packet_path_fdd =
-  Test.make ~name:"ipbm/packet-forward-fdd"
-    (Staged.stage (fun () ->
-         let device = Lazy.force fdd_device in
-         ignore
-           (Ipsa.Device.inject_fdd device ~in_port:0 (Lazy.force routed_v4_bytes))))
-
 let packet_path_tests =
-  [
-    bench_packet_path;
-    bench_packet_path_flat;
-    bench_packet_path_fdd;
-    bench_packet_path_telemetry;
-  ]
+  [ bench_packet_path; bench_packet_path_flat; bench_packet_path_telemetry ]
 
 (* Fleet rollout pair: one full rolling rollout (boot, waves, traffic,
    drain) on a two-node line, IPSA in-situ patches vs PISA monolithic
@@ -239,16 +217,12 @@ let alloc_profiles () =
   let bytes = Lazy.force routed_v4_bytes in
   let _, dev_i = Harness.Cases.boot_base () in
   let dev_f = Lazy.force flat_device in
-  let dev_d = Lazy.force fdd_device in
   [
     ( "interp",
       measure_allocs (fun () ->
           ignore (Ipsa.Device.inject dev_i (Net.Packet.create ~in_port:0 bytes))) );
     ( "flat",
       measure_allocs (fun () -> ignore (Ipsa.Device.inject_flat dev_f ~in_port:0 bytes))
-    );
-    ( "fdd",
-      measure_allocs (fun () -> ignore (Ipsa.Device.inject_fdd dev_d ~in_port:0 bytes))
     );
   ]
 
@@ -363,18 +337,14 @@ let virt_sweep () =
   in
   (base_ns, rows)
 
-(* The artifact the CI smoke publishes: the interpreted, flat and fdd
-   packet paths, with each compiled path's speedup over the interpreter;
-   per-path detail lives under ["paths"]. *)
+(* The artifact the CI smoke publishes: the interpreted and flat packet
+   paths, with the flat path's speedup over the interpreter; per-path
+   detail lives under ["paths"]. *)
 let write_bench_link results =
   let module J = Prelude.Json in
   let find n = Option.join (List.assoc_opt n results) in
-  match
-    ( find "ipbm/packet-forward",
-      find "ipbm/packet-forward-flat",
-      find "ipbm/packet-forward-fdd" )
-  with
-  | Some interp, Some flat, Some fdd when interp > 0.0 && flat > 0.0 && fdd > 0.0 ->
+  match (find "ipbm/packet-forward", find "ipbm/packet-forward-flat") with
+  | Some interp, Some flat when interp > 0.0 && flat > 0.0 ->
     let allocs = alloc_profiles () in
     let sweep_base_ns, sweep_rows = virt_sweep () in
     let path_obj name ns =
@@ -393,15 +363,7 @@ let write_bench_link results =
           ("interp_ns_per_packet", J.Float interp);
           ("flat_ns_per_packet", J.Float flat);
           ("flat_speedup_vs_interp", J.Float (interp /. flat));
-          ("fdd_ns_per_packet", J.Float fdd);
-          ("fdd_speedup_vs_interp", J.Float (interp /. fdd));
-          ( "paths",
-            J.Obj
-              [
-                path_obj "interp" interp;
-                path_obj "flat" flat;
-                path_obj "fdd" fdd;
-              ] );
+          ("paths", J.Obj [ path_obj "interp" interp; path_obj "flat" flat ]);
           ( "virt_sweep",
             J.Obj
               [
@@ -429,10 +391,6 @@ let write_bench_link results =
       "BENCH_link.json: flat %.2fx vs interp (%.0f -> %.0f ns, %.2f Mpkt/s, %.3f B alloc/pkt)\n"
       (interp /. flat) interp flat (1e3 /. flat)
       (try List.assoc "flat" allocs with Not_found -> nan);
-    Printf.printf
-      "BENCH_link.json: fdd %.2fx vs interp (%.0f -> %.0f ns, %.2f Mpkt/s, %.3f B alloc/pkt)\n"
-      (interp /. fdd) interp fdd (1e3 /. fdd)
-      (try List.assoc "fdd" allocs with Not_found -> nan);
     Printf.printf "BENCH_link.json: virt sweep baseline %.0f ns/pkt (flat, unvirtualized)\n"
       sweep_base_ns;
     List.iter
@@ -443,9 +401,9 @@ let write_bench_link results =
       sweep_rows
   | _ -> prerr_endline "BENCH_link.json not written: missing estimates"
 
-(* CI perf gate over a freshly generated BENCH_link.json: the flat and
-   fdd paths must stay allocation-free (tiny tolerance for GC-counter
-   noise) and strictly faster than the interpreter. *)
+(* CI perf gate over a freshly generated BENCH_link.json: the flat path
+   must stay allocation-free (tiny tolerance for GC-counter noise) and
+   strictly faster than the interpreter. *)
 let perf_gate () =
   let module J = Prelude.Json in
   let read_file path =
@@ -461,14 +419,9 @@ let perf_gate () =
   let interp_ns = field "interp" "ns_per_packet" in
   let flat_ns = field "flat" "ns_per_packet" in
   let flat_allocs = field "flat" "allocs_per_packet" in
-  let fdd_ns = field "fdd" "ns_per_packet" in
-  let fdd_allocs = field "fdd" "allocs_per_packet" in
   Printf.printf
     "perf gate: flat %.0f ns/pkt (%.2fx vs interp %.0f ns), %.3f bytes alloc/pkt, %.2f Mpkt/s\n"
     flat_ns (interp_ns /. flat_ns) interp_ns flat_allocs (1e3 /. flat_ns);
-  Printf.printf
-    "perf gate: fdd %.0f ns/pkt (%.2fx vs interp), %.3f bytes alloc/pkt, %.2f Mpkt/s\n"
-    fdd_ns (interp_ns /. fdd_ns) fdd_allocs (1e3 /. fdd_ns);
   let failed = ref false in
   if not (flat_allocs <= 2.0) then begin
     Printf.eprintf "perf gate FAIL: flat path allocates %.3f bytes/packet (limit 2.0)\n"
@@ -478,16 +431,6 @@ let perf_gate () =
   if not (flat_ns < interp_ns) then begin
     Printf.eprintf "perf gate FAIL: flat path (%.0f ns) not faster than interp (%.0f ns)\n"
       flat_ns interp_ns;
-    failed := true
-  end;
-  if not (fdd_allocs <= 2.0) then begin
-    Printf.eprintf "perf gate FAIL: fdd path allocates %.3f bytes/packet (limit 2.0)\n"
-      fdd_allocs;
-    failed := true
-  end;
-  if not (fdd_ns < interp_ns) then begin
-    Printf.eprintf "perf gate FAIL: fdd path (%.0f ns) not faster than interp (%.0f ns)\n"
-      fdd_ns interp_ns;
     failed := true
   end;
   (* The virtualization tax: a fully-resident hot tier must stay within

@@ -579,15 +579,6 @@ let stats_cmd =
              in chunks of $(docv) packets instead of one-at-a-time injection; \
              0 disables batching")
   in
-  let fdd =
-    Arg.(
-      value & flag
-      & info [ "fdd" ]
-          ~doc:
-            "drive traffic through the whole-pipeline decision diagram \
-             ($(b,inject_fdd) / $(b,inject_batch_fdd)) and report diagram \
-             readiness, node count and splice telemetry")
-  in
   let virt =
     Arg.(
       value
@@ -613,7 +604,7 @@ let stats_cmd =
       & info [ "trace" ]
           ~doc:"inject one extra packet with a stage tracer and dump its per-TSP trace")
   in
-  let run file populate usecase packets batch fdd virt seed ntsps json trace =
+  let run file populate usecase packets batch virt seed ntsps json trace =
     try
       let tel = Telemetry.create () in
       let device = Ipsa.Device.create ~telemetry:tel ~ntsps () in
@@ -676,24 +667,14 @@ let stats_cmd =
                 | None -> ())
               (Ipsa.Device.table_names device));
           if batch > 0 then begin
-            let inject_chunk =
-              if fdd then Ipsa.Device.inject_batch_fdd else Ipsa.Device.inject_batch
-            in
             let i = ref 0 in
             while !i < packets do
               let n = min batch (packets - !i) in
               let chunk = Array.init n (fun j -> packet_of (!i + j)) in
-              ignore (inject_chunk device chunk);
+              ignore (Ipsa.Device.inject_batch device chunk);
               i := !i + n
             done
           end
-          else if fdd then
-            for i = 0 to packets - 1 do
-              let p = packet_of i in
-              ignore
-                (Ipsa.Device.inject_fdd device ~in_port:p.Net.Packet.in_port
-                   (Net.Packet.contents p))
-            done
           else
             for i = 0 to packets - 1 do
               ignore (Ipsa.Device.inject device (packet_of i))
@@ -730,57 +711,19 @@ let stats_cmd =
                          (Ipsa.Device.virt_tables device)) );
                 ]
             in
-            let fdd_field =
-              if not fdd then []
-              else
-                let module J = Prelude.Json in
-                [
-                  ( "fdd",
-                    J.Obj
-                      [
-                        ("ready", J.Bool (Ipsa.Device.fdd_ready device));
-                        ("nodes", J.Int (Ipsa.Device.fdd_node_count device));
-                        ("builds", J.Int (Ipsa.Device.fdd_builds device));
-                        ("splices", J.Int (Ipsa.Device.fdd_splices device));
-                        ( "gaps",
-                          J.List
-                            (List.map
-                               (fun (tsp, reason) ->
-                                 J.Obj
-                                   [ ("tsp", J.Int tsp); ("reason", J.String reason) ])
-                               (Ipsa.Device.fdd_report device)) );
-                      ] )
-                ]
-            in
             let out =
               match (metrics, traced) with
               | Prelude.Json.Obj fields, Some tr ->
                 Prelude.Json.Obj
-                  (fields @ fdd_field @ virt_field
+                  (fields @ virt_field
                   @ [ ("trace", Telemetry.Trace.to_json tr) ])
               | Prelude.Json.Obj fields, None ->
-                Prelude.Json.Obj (fields @ fdd_field @ virt_field)
+                Prelude.Json.Obj (fields @ virt_field)
               | _, _ -> metrics
             in
             print_endline (Prelude.Json.to_string_pretty out)
           end
           else begin
-            if fdd then begin
-              (match Ipsa.Device.fdd_report device with
-              | [] ->
-                Printf.printf "fdd: ready, %d nodes\n"
-                  (Ipsa.Device.fdd_node_count device)
-              | gaps ->
-                Printf.printf "fdd: incomplete (%s)\n"
-                  (String.concat "; "
-                     (List.map
-                        (fun (tsp, reason) -> Printf.sprintf "tsp %d: %s" tsp reason)
-                        gaps)));
-              Printf.printf "fdd: %d builds, %d splices (last touched %d nodes)\n"
-                (Ipsa.Device.fdd_builds device)
-                (Ipsa.Device.fdd_splices device)
-                (Ipsa.Device.fdd_splice_nodes device)
-            end;
             if virt <> None then begin
               print_endline "== virtualized tables ==";
               print_endline (Controller.Runtime.virt_summary ~device);
@@ -802,7 +745,7 @@ let stats_cmd =
           per-packet stage trace)")
     Term.(
       ret
-        (const run $ file $ populate $ usecase $ packets $ batch $ fdd $ virt
+        (const run $ file $ populate $ usecase $ packets $ batch $ virt
        $ seed $ ntsps $ json $ trace))
 
 let () =

@@ -41,9 +41,6 @@ type report = {
   i_paths : int; (* symbolic exploration effort *)
 }
 
-let changed_stages (report : report) =
-  List.sort_uniq String.compare (report.i_added @ report.i_removed @ report.i_edited)
-
 let radius_size report = List.length report.i_classes
 
 (* ------------------------------------------------------------------ *)

@@ -286,9 +286,7 @@ let apply_prepared t (p : prepared) : (timing, string list) result =
     | Ok () ->
     let load_start = now_ns () in
     match
-      Ipsa.Device.apply_patch
-        ~dirty_stages:(Analysis.Impact.changed_stages p.pre_impact)
-        t.device p.pre_result.Rp4bc.Compile.patch
+      Ipsa.Device.apply_patch t.device p.pre_result.Rp4bc.Compile.patch
     with
     | Error e -> Error [ e ]
     | Ok report ->
@@ -324,9 +322,7 @@ let commit t : (timing, string list) result =
     | Ok () ->
     let load_start = now_ns () in
     match
-      Ipsa.Device.apply_patch
-        ~dirty_stages:(Analysis.Impact.changed_stages impact)
-        t.device result.Rp4bc.Compile.patch
+      Ipsa.Device.apply_patch t.device result.Rp4bc.Compile.patch
     with
     | Error e -> Error [ e ]
     | Ok report ->
@@ -364,9 +360,7 @@ let unload t ~func_name : (timing, string list) result =
     | Ok () ->
     let load_start = now_ns () in
     match
-      Ipsa.Device.apply_patch
-        ~dirty_stages:(Analysis.Impact.changed_stages impact)
-        t.device result.Rp4bc.Compile.patch
+      Ipsa.Device.apply_patch t.device result.Rp4bc.Compile.patch
     with
     | Error e -> Error [ e ]
     | Ok report ->

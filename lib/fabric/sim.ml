@@ -350,14 +350,13 @@ let node_receive t node ~port ~bytes meta =
     record_drop t meta ~reason:Hop_limit ~where:node.n_name
   else
     let pkt = Net.Packet.create ~in_port:port bytes in
-    (* Per-hop processing prefers the devices' whole-pipeline decision
-       diagram: a single-packet batch is one O(depth) diagram walk over
-       ring-recycled flat records; the call degrades to the flat engine
-       and then the context interpreter when the diagram (or the flat
-       subset) does not cover the design — same observable outcome. *)
+    (* Per-hop processing rides the devices' batch path: a single-packet
+       batch runs the flat engine over ring-recycled flat records, and
+       degrades to the context interpreter when the flat subset does not
+       cover the design — same observable outcome. *)
     match node.n_impl with
     | Pisa_node p -> (
-      match Pisa.Device.inject_batch_fdd p.device [| pkt |] with
+      match Pisa.Device.inject_batch p.device [| pkt |] with
       | [| Some r |] ->
         let out_port = r.Ipsa.Device.br_port in
         ignore (Pisa.Device.collect p.device out_port);
@@ -371,7 +370,7 @@ let node_receive t node ~port ~bytes meta =
         else record_drop t meta ~reason:Node_drop ~where:node.n_name)
     | Ipsa_node session -> (
       let device = Controller.Session.device session in
-      match Ipsa.Device.inject_batch_fdd device [| pkt |] with
+      match Ipsa.Device.inject_batch device [| pkt |] with
       | [| Some r |] ->
         let out_port = r.Ipsa.Device.br_port in
         ignore (Ipsa.Device.collect device out_port);

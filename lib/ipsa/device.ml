@@ -71,15 +71,6 @@ type t = {
   mutable flat_gaps : (int * string) list;
   flat_one : F.t; (* reusable record for the single-packet fast path *)
   ring : F.Ring.t; (* reusable records for [inject_batch] *)
-  (* Whole-pipeline decision diagram (third injection path): compiled
-     from templates *plus table contents*, spliced incrementally by
-     [refdd] after patches and table mutations. The slot arrays are the
-     powered, templated slots per role in pipeline order — the diagram's
-     compilation roots, snapshotted by [relink]. *)
-  fdd : Fdd.t;
-  mutable fdd_ingress : Tsp.slot array;
-  mutable fdd_egress : Tsp.slot array;
-  fdd_one : F.t; (* reusable record for [inject_fdd] *)
   stats : stats;
   tel : Telemetry.t;
   instr : instruments;
@@ -114,10 +105,6 @@ let create ?(ntsps = 8) ?(nports = 16) ?(cycles_cfg = Cycles.default)
     flat_gaps = [];
     flat_one = F.create ();
     ring = F.Ring.create ();
-    fdd = Fdd.create ();
-    fdd_ingress = [||];
-    fdd_egress = [||];
-    fdd_one = F.create ();
     stats =
       {
         injected = 0;
@@ -240,8 +227,8 @@ let table_reachable t ~tsp name =
       (fun b -> Mem.Crossbar.connected t.crossbar ~tsp ~block:b)
       alloc.Mem.Pool.blocks
 
-(* The one environment every execution path resolves against: the
-   interpreter per packet, the flat and FDD compilers once per patch. *)
+(* The one environment both execution paths resolve against: the
+   interpreter per packet, the flat compiler once per patch. *)
 let env t : Tsp.env =
   {
     Tsp.registry = t.registry;
@@ -296,40 +283,7 @@ let relink t =
   in
   t.flat_ingress <- collect Pipeline.Ingress;
   t.flat_egress <- collect Pipeline.Egress;
-  t.flat_ok <- !ok;
-  (* FDD compilation roots: all powered, templated slots per role —
-     independent of the flat subset; the diagram compiler reports its own
-     per-slot gaps. *)
-  let collect_slots want =
-    let acc = ref [] in
-    for i = Pipeline.ntsps t.pipeline - 1 downto 0 do
-      let slot = Pipeline.slot t.pipeline i in
-      if Pipeline.role t.pipeline i = want && slot.Tsp.powered
-         && slot.Tsp.template <> None
-      then acc := slot :: !acc
-    done;
-    Array.of_list !acc
-  in
-  t.fdd_ingress <- collect_slots Pipeline.Ingress;
-  t.fdd_egress <- collect_slots Pipeline.Egress
-
-(* (Re)compile the whole-pipeline diagram against current device state.
-   With the persistent hash-cons store this splices: only slots whose
-   template, table bindings or table generations changed allocate nodes.
-   [dirty_stages] ([Analysis.Impact.changed_stages], when the caller has
-   a blast radius) force-invalidates the named stages' memo entries;
-   [fresh] bypasses the memo wholesale — the from-scratch oracle. *)
-let refdd ?(dirty_stages = []) ?(fresh = false) t =
-  Fdd.update t.fdd (env t) ~ingress:t.fdd_ingress ~egress:t.fdd_egress
-    ~dirty_stages ~fresh ();
-  if Telemetry.enabled t.tel then begin
-    Telemetry.Gauge.set (Telemetry.gauge t.tel "fdd.nodes") (Fdd.node_count t.fdd);
-    Telemetry.Gauge.set (Telemetry.gauge t.tel "fdd.builds") (Fdd.builds t.fdd);
-    Telemetry.Gauge.set (Telemetry.gauge t.tel "fdd.splices") (Fdd.splices t.fdd);
-    Telemetry.Gauge.set
-      (Telemetry.gauge t.tel "fdd.splice_nodes")
-      (Fdd.last_splice_nodes t.fdd)
-  end
+  t.flat_ok <- !ok
 
 (* ------------------------------------------------------------------ *)
 (* PM: packet processing                                               *)
@@ -469,14 +423,9 @@ let process_flat t fp =
   end
   else -2
 
-(* Wire-bytes-in, port-out fast path: in steady state (plan compiled,
-   no update in progress, TM empty) this allocates nothing — the flat
-   record, its buffers and the ring are all reused. Output queues are
-   not fed (there is no [Packet.t] to queue); callers wanting the
-   transformed bytes read [flat_contents] before the next injection. *)
-(* Shared fallback for the bytes-in paths when their compiled plan is
-   unavailable: allocate a real packet and run the context pipeline (or
-   buffer it during an update), exactly as [inject] would. *)
+(* Fallback for [inject_flat] when the flat plan is unavailable: allocate
+   a real packet and run the context pipeline (or buffer it during an
+   update), exactly as [inject] would. *)
 let inject_bytes_slow t ~in_port bytes =
   let pkt = Net.Packet.create ~in_port bytes in
   stamp t pkt;
@@ -491,6 +440,11 @@ let inject_bytes_slow t ~in_port bytes =
     match process_ctx t ctx with Some (port, _) -> port | None -> -1
   end
 
+(* Wire-bytes-in, port-out fast path: in steady state (plan compiled,
+   no update in progress, TM empty) this allocates nothing — the flat
+   record, its buffers and the ring are all reused. Output queues are
+   not fed (there is no [Packet.t] to queue); callers wanting the
+   transformed bytes read [flat_contents] before the next injection. *)
 let inject_flat t ~in_port bytes =
   t.stats.injected <- t.stats.injected + 1;
   Telemetry.Counter.incr t.instr.i_injected;
@@ -504,72 +458,6 @@ let inject_flat t ~in_port bytes =
   else inject_bytes_slow t ~in_port bytes
 
 let flat_contents t = F.contents t.flat_one
-
-(* ------------------------------------------------------------------ *)
-(* PM: whole-pipeline decision-diagram path                             *)
-(* ------------------------------------------------------------------ *)
-
-let fdd_ready t = Fdd.ready t.fdd
-let fdd_report t = Fdd.report t.fdd
-let fdd_node_count t = Fdd.node_count t.fdd
-let fdd_builds t = Fdd.builds t.fdd
-let fdd_splices t = Fdd.splices t.fdd
-let fdd_splice_nodes t = Fdd.last_splice_nodes t.fdd
-
-(* Table contents drifted under the diagram (runtime add/del outside a
-   patch)? Resplice before forwarding — one int compare per baked table
-   on the happy path. *)
-let ensure_fdd_fresh t = if Fdd.stale t.fdd then refdd t
-
-(* [process_flat]'s contract over the diagram: port, [-1] dropped and
-   finalized, [-2] swallowed by the TM. Template cycles are baked into
-   the diagram's slot-entry nodes, so none are added here. *)
-let process_fdd t fp =
-  Fdd.run_ingress t.fdd fp;
-  if F.dropped fp then begin
-    F.finalize fp;
-    t.stats.dropped <- t.stats.dropped + 1;
-    Telemetry.Counter.incr t.instr.i_dropped;
-    account t fp.F.cycles;
-    -1
-  end
-  else if Tm.pass t.tm then begin
-    Fdd.run_egress t.fdd fp;
-    F.finalize fp;
-    account t fp.F.cycles;
-    if F.dropped fp then begin
-      t.stats.dropped <- t.stats.dropped + 1;
-      Telemetry.Counter.incr t.instr.i_dropped;
-      -1
-    end
-    else begin
-      t.stats.forwarded <- t.stats.forwarded + 1;
-      Telemetry.Counter.incr t.instr.i_forwarded;
-      fp.F.out_port mod t.nports
-    end
-  end
-  else -2
-
-(* Third injection path: one O(depth) walk over the compiled diagram.
-   Same protocol as [inject_flat]; falls back the same way when the
-   diagram has gaps, an update is in flight, or the TM is occupied. *)
-let inject_fdd t ~in_port bytes =
-  t.stats.injected <- t.stats.injected + 1;
-  Telemetry.Counter.incr t.instr.i_injected;
-  if (not t.updating) && Tm.length t.tm = 0 then begin
-    ensure_fdd_fresh t;
-    if Fdd.ready t.fdd then begin
-      t.next_pkt_id <- t.next_pkt_id + 1;
-      let fp = t.fdd_one in
-      F.load fp ~layout:t.meta_layout ~in_port bytes;
-      fp.F.id <- t.next_pkt_id;
-      process_fdd t fp
-    end
-    else inject_bytes_slow t ~in_port bytes
-  end
-  else inject_bytes_slow t ~in_port bytes
-
-let fdd_contents t = F.contents t.fdd_one
 
 (* What [inject_batch] reports per forwarded packet: enough for every
    caller of the context path ([Fabric.Sim] routing on port + metadata,
@@ -644,33 +532,6 @@ let inject_batch t (pkts : Net.Packet.t array) : batch_result option array =
         | None -> None
       end)
     pkts
-
-(* [inject_batch] riding the diagram walk: ring-recycled flat records,
-   written back at the edge, [process_fdd] in the middle. Falls back to
-   [inject_batch] (which picks flat or contexts) when the diagram is not
-   usable for this batch. *)
-let inject_batch_fdd t (pkts : Net.Packet.t array) : batch_result option array =
-  if (not t.updating) && Tm.length t.tm = 0 then ensure_fdd_fresh t;
-  if not (Fdd.ready t.fdd && (not t.updating) && Tm.length t.tm = 0) then
-    inject_batch t pkts
-  else begin
-    F.Ring.rewind t.ring;
-    Array.map
-      (fun pkt ->
-        stamp t pkt;
-        t.stats.injected <- t.stats.injected + 1;
-        Telemetry.Counter.incr t.instr.i_injected;
-        let fp = F.Ring.acquire t.ring in
-        F.of_packet fp ~layout:t.meta_layout pkt;
-        let port = process_fdd t fp in
-        if port >= -1 then F.to_packet fp pkt;
-        if port >= 0 then begin
-          Queue.add pkt t.outputs.(port);
-          Some (batch_result_of_flat port fp)
-        end
-        else None)
-      pkts
-  end
 
 (* Release buffered arrivals through the (current) pipeline. *)
 let flush_input_buffer t =
@@ -815,8 +676,7 @@ let apply_op t = function
    procedure: back-pressure the input, let in-flight packets finish, write
    the affected templates (a few cycles each), reconfigure selector and
    crossbar, release the input buffer. *)
-let apply_patch ?(dirty_stages = []) t (patch : Config.t) :
-    (load_report, string) result =
+let apply_patch t (patch : Config.t) : (load_report, string) result =
   t.updating <- true;
   (* Drain: finish everything queued in the TM through egress. *)
   let env_now = env t in
@@ -858,10 +718,6 @@ let apply_patch ?(dirty_stages = []) t (patch : Config.t) :
      against the post-patch registry, layout, wiring and tables — before
      buffered arrivals are released through the new pipeline. *)
   relink t;
-  (* Incremental diagram splice: blast radius (when the caller computed
-     one) plus the builder's own staleness detection decide how much of
-     the diagram actually recompiles. *)
-  refdd ~dirty_stages t;
   (* Release buffered arrivals through the (new) pipeline. *)
   flush_input_buffer t;
   match result with

@@ -25,10 +25,9 @@
    scan list) live in [Table.Engine] as the table's *flat view*, stamped
    with the generation and rebuilt lazily on the first lookup after a
    mutation — allocation happens on the control path, never per packet in
-   steady state. The view is shared with the FDD compiler, so both
-   compiled paths resolve through the same engine state. Virtualized
-   tables probe the engine's hot tier first; a miss charges the modeled
-   escalation penalty before resolving against the full view. *)
+   steady state. Virtualized tables probe the engine's hot tier first; a
+   miss charges the modeled escalation penalty before resolving against
+   the full view. *)
 
 module B = Net.Bits
 module F = Net.Flatpkt
@@ -514,7 +513,6 @@ type ftable = {
   ft_exact_key : Bytes.t; (* scratch: rendered exact-engine key *)
   ft_hit_ctr : Telemetry.Counter.t;
   ft_miss_ctr : Telemetry.Counter.t;
-  mutable ft_gen : int; (* [Table.generation] this instance last synced at *)
 }
 
 let compile_fkey env (f : Table.Key.field) : fkey =
@@ -571,7 +569,6 @@ let compile_ftable env ~tsp (ct : Template.compiled_table) =
     ft_hit_ctr = Telemetry.table_counter env.Tsp.tel ~table:ct.Template.ct_name ~hit:true;
     ft_miss_ctr =
       Telemetry.table_counter env.Tsp.tel ~table:ct.Template.ct_name ~hit:false;
-    ft_gen = -1;
   }
 
 (* --- per-packet lookup (allocation-free) ------------------------------ *)
@@ -605,7 +602,7 @@ let rec read_keys t e i =
 
 (* Entry matching against the scratch arrays delegates to the engine's
    probe helpers (the single home of the masked-comparison code, shared
-   with the boxed view construction and the FDD's baked nodes). *)
+   with the boxed view construction). *)
 module E = Table.Engine
 
 let fment_matches t e flds i =
@@ -739,7 +736,6 @@ let apply_ftable probe t (e : fenv) =
     if read_keys t e 0 then begin
       let eng = Table.engine table in
       let v = E.view eng in
-      t.ft_gen <- v.E.v_gen;
       eng.E.lookups <- eng.E.lookups + 1;
       match eng.E.tier with
       | None -> (

@@ -11,7 +11,6 @@ type slot = {
   mutable template : Template.t option;
   mutable powered : bool; (* false = bypassed, low-power state *)
   mutable packets : int; (* packets this TSP actively processed *)
-  mutable stamp : int; (* bumped per template (re)write; caches key on it *)
 }
 
 let make id =
@@ -20,16 +19,12 @@ let make id =
     template = None;
     powered = false;
     packets = 0;
-    stamp = 0;
   }
 
-(* The stamp lets derived plans (the device's flat programs, the FDD
-   stage memo) distinguish "same slot, new template" from an untouched
-   slot without comparing template bodies; the device recompiles them
-   after the configuration patch completes. *)
+(* Derived plans (the device's flat programs) are not patched here: the
+   device relinks them after the configuration patch completes. *)
 let load slot template =
   slot.template <- template;
-  slot.stamp <- slot.stamp + 1;
   slot.powered <- template <> None
 
 (* Environment the TSP needs from the device: header linkage for parsing,
@@ -38,7 +33,7 @@ let load slot template =
    *or* the crossbar does not connect this TSP to the table's memory
    blocks — an unreachable table behaves as always-miss, mirroring a
    misconfigured crossbar in hardware. The interpreter reads it per
-   packet; [Flat] and [Fdd] compile against the same record.
+   packet; [Flat] compiles against the same record.
 
    [tel] and [probes] are the telemetry handle and the per-TSP instrument
    families the device resolved at construction; with a no-op sink every

@@ -102,48 +102,6 @@ let unlink r ~pre ~next =
 
 let links_of r pre = List.filter (fun l -> l.pre = pre) r.links
 
-(* Stable digest of the registry's structural state — definitions, field
-   layouts, linkage and the entry point. Compilers that resolve names and
-   offsets against the registry (the FDD builder's hash-cons store) bake
-   it into their cache keys, so any registry edit invalidates everything
-   derived from the old parse graph with one string compare. *)
-let fingerprint r =
-  let b = Buffer.create 128 in
-  List.iter
-    (fun d ->
-      Buffer.add_char b 'H';
-      Buffer.add_string b d.name;
-      Buffer.add_char b '=';
-      Buffer.add_string b (string_of_int d.width);
-      List.iter
-        (fun f ->
-          Buffer.add_char b ',';
-          Buffer.add_string b f.f_name;
-          Buffer.add_char b ':';
-          Buffer.add_string b (string_of_int f.f_width))
-        d.fields;
-      List.iter
-        (fun s ->
-          Buffer.add_char b '?';
-          Buffer.add_string b s)
-        d.sel_fields)
-    (defs r);
-  List.iter
-    (fun l ->
-      Buffer.add_char b 'L';
-      Buffer.add_string b l.pre;
-      Buffer.add_char b '>';
-      Buffer.add_string b l.next;
-      Buffer.add_char b '#';
-      Buffer.add_string b (Bits.to_raw_string l.tag))
-    r.links;
-  (match r.first with
-  | Some f ->
-    Buffer.add_char b '^';
-    Buffer.add_string b f
-  | None -> ());
-  Buffer.contents b
-
 (* The header type following [pre] when its selector value is [tag]. *)
 let next_header r ~pre ~tag =
   let pdef = find_exn r pre in

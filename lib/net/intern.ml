@@ -1,9 +1,8 @@
 (* Process-wide string interning.
 
-   The template compilers (Ipsa.Flat, Ipsa.Fdd) resolve every header name
-   to a small integer once at template-download time, so the
-   steady-state packet path can key its maps by [int] instead of hashing
-   strings. Ids are dense, stable for the lifetime of the process, and
+   The template compiler (Ipsa.Flat) resolves every header name to a
+   small integer once at template-download time, so the steady-state
+   packet path can key its maps by [int] instead of hashing strings. Ids are dense, stable for the lifetime of the process, and
    shared by every device in it — two devices interning "ipv4" agree on
    the id, which keeps compiled programs trivially comparable in tests.
 

@@ -49,13 +49,10 @@ type t = {
   (* Per-stage reasons the flat compiler fell back, (stage, reason). *)
   mutable flat_gaps : (int * string) list;
   ring : Net.Flatpkt.Ring.t;
-  (* Whole-pipeline decision diagram over the fixed stage sequence. The
-     builder and the interpreter work on [Ipsa.Tsp.slot]s, so each PISA
-     stage keeps a persistent shim slot (stable identity across reloads —
-     the slot stamp then tracks template swaps); every stage is an
-     ingress root, PISA has no TM split. *)
-  fdd : Ipsa.Fdd.t;
-  fdd_slots : Ipsa.Tsp.slot array;
+  (* The interpreter runs stages on [Ipsa.Tsp.slot]s, so each PISA stage
+     keeps a persistent shim slot whose id selects the stage's local
+     memory and telemetry probe. *)
+  slots : Ipsa.Tsp.slot array;
   mutable next_pkt_id : int; (* per-device packet id sequence *)
   stats : stats;
   (* The PISA baseline is not instrumented: a no-op sink keeps the shared
@@ -91,8 +88,7 @@ let create ?(nstages = 8) ?(nports = 16) ?(cycles_cfg = pisa_cycles) () =
     flat_ok = false;
     flat_gaps = [];
     ring = Net.Flatpkt.Ring.create ();
-    fdd = Ipsa.Fdd.create ();
-    fdd_slots = Array.init nstages Ipsa.Tsp.make;
+    slots = Array.init nstages Ipsa.Tsp.make;
     next_pkt_id = 0;
     tel;
     probes = Array.init nstages (fun i -> Telemetry.stage_probe tel ~tsp:i);
@@ -135,9 +131,9 @@ type reload_report = {
   rr_config_bytes : int; (* full design volume, not a diff *)
 }
 
-(* The environment the interpreter, the flat compiler and the diagram
-   builder all resolve against: table resolution is per stage-local
-   memory, dispatched on the stage (= shim slot) id. *)
+(* The environment the interpreter and the flat compiler resolve against:
+   table resolution is per stage-local memory, dispatched on the stage
+   (= shim slot) id. *)
 let env t : Ipsa.Tsp.env =
   {
     Ipsa.Tsp.registry = t.registry;
@@ -231,10 +227,6 @@ let reload t ~(registry_headers : Net.Hdrdef.t list) ~first_header
     t.flat_progs <- Array.of_list (List.rev !progs);
     t.flat_ok <- !flat_all;
     t.flat_gaps <- List.rev !gaps;
-    (* Retarget the shim slots ([Tsp.load] bumps their stamps, keying the
-       diagram's per-slot memo) and recompile the decision diagram. *)
-    Array.iteri (fun i stage -> Ipsa.Tsp.load t.fdd_slots.(i) stage.template) t.stages;
-    Ipsa.Fdd.update t.fdd env ~ingress:t.fdd_slots ~egress:[||] ();
     Ok
       {
         rr_templates =
@@ -284,7 +276,7 @@ let process_pkt t pkt =
         List.iter
           (fun cs ->
             if not (Ipsa.Context.dropped ctx) then
-              Ipsa.Tsp.run_stage env t.fdd_slots.(i) ctx cs)
+              Ipsa.Tsp.run_stage env t.slots.(i) ctx cs)
           tmpl.Ipsa.Template.stages
       | _ -> ())
     t.stages;
@@ -392,63 +384,6 @@ let inject_batch t (pkts : Net.Packet.t array) :
         | Some (port, ctx) -> Some (Ipsa.Device.batch_result_of_ctx port ctx)
         | None -> None)
     pkts
-
-(* ------------------------------------------------------------------ *)
-(* Decision-diagram path                                               *)
-(* ------------------------------------------------------------------ *)
-
-let fdd_ready t = Ipsa.Fdd.ready t.fdd
-let fdd_report t = Ipsa.Fdd.report t.fdd
-let fdd_node_count t = Ipsa.Fdd.node_count t.fdd
-
-(* Table contents are repopulated out-of-band after a reload
-   ([Deploy.populate] inserts directly); resplice when they drifted. *)
-let ensure_fdd_fresh t =
-  if Ipsa.Fdd.stale t.fdd then
-    Ipsa.Fdd.update t.fdd (env t) ~ingress:t.fdd_slots ~egress:[||] ()
-
-(* [process_flat] with the stage loop replaced by one diagram walk. The
-   front parser still runs first; the per-stage parse nodes then find
-   their headers already extracted, exactly as on the flat path. *)
-let process_fdd t fg fp =
-  front_parse_flat t fg fp;
-  Ipsa.Fdd.run_ingress t.fdd fp;
-  Net.Flatpkt.finalize fp;
-  t.stats.total_cycles <- t.stats.total_cycles + fp.Net.Flatpkt.cycles;
-  if Net.Flatpkt.dropped fp then begin
-    t.stats.dropped <- t.stats.dropped + 1;
-    -1
-  end
-  else begin
-    t.stats.forwarded <- t.stats.forwarded + 1;
-    fp.Net.Flatpkt.out_port mod t.nports
-  end
-
-(* [inject_batch] riding the diagram; degrades to [inject_batch] (flat or
-   context path) when the diagram or the flat front parser has gaps.
-   Reload downtime drops the batch either way. *)
-let inject_batch_fdd t (pkts : Net.Packet.t array) :
-    Ipsa.Device.batch_result option array =
-  if not t.reloading then ensure_fdd_fresh t;
-  match t.fgraph with
-  | Some fg when Ipsa.Fdd.ready t.fdd && not t.reloading ->
-    Net.Flatpkt.Ring.rewind t.ring;
-    Array.map
-      (fun pkt ->
-        t.next_pkt_id <- t.next_pkt_id + 1;
-        Net.Packet.set_id pkt t.next_pkt_id;
-        t.stats.injected <- t.stats.injected + 1;
-        let fp = Net.Flatpkt.Ring.acquire t.ring in
-        Net.Flatpkt.of_packet fp ~layout:t.meta_layout pkt;
-        let port = process_fdd t fg fp in
-        Net.Flatpkt.to_packet fp pkt;
-        if port >= 0 then begin
-          Queue.add pkt t.outputs.(port);
-          Some (Ipsa.Device.batch_result_of_flat port fp)
-        end
-        else None)
-      pkts
-  | _ -> inject_batch t pkts
 
 let collect t port =
   let q = t.outputs.(port) in

@@ -9,8 +9,8 @@
      interpreter;
    - the int-keyed *flat view* — the per-entry patterns ([ffm]/[fment])
      and caches previously private to [Ipsa.Flat] — rebuilt lazily when
-     the generation moves and shared by the flat fast path and the FDD
-     compiler, so every path resolves through the same derived state;
+     the generation moves and used by the flat fast path, so both
+     execution paths resolve through the same engine;
    - the optional virtualization [tier]: a Synapse-style hot set of
      recently used *resolutions* keyed by the full concatenated key,
      with LRU eviction, prefix pinning, and hit/miss/promotion
@@ -110,7 +110,7 @@ type t = {
   mutable hits : int;
   (* Bumped on every content mutation (insert/delete/clear/set_default,
      and virtualize/devirtualize) so derived structures — the flat view
-     here, the FDD's baked chains — detect staleness with one int
+     here, [Ipsa.Flat]'s per-table caches — detect staleness with one int
      compare. Entry hit counters and tier movement do not bump. *)
   mutable generation : int;
   mutable view : view option; (* rebuilt lazily when [v_gen] drifts *)
@@ -359,8 +359,8 @@ let virtualize t ~capacity =
           tr_evictions = 0;
           tr_pin_blocked = 0;
         });
-  (* Structural change for derived paths (the FDD recompiles the table as
-     a dynamic probe): bump like a content mutation. *)
+  (* Structural change for derived paths: bump like a content
+     mutation. *)
   t.generation <- t.generation + 1
 
 let devirtualize t =
@@ -735,8 +735,7 @@ let build_view t =
   { v_gen = t.generation; v_kind = kind; v_def_present = def_present; v_def_tag = def_tag }
 
 (* The current flat view, rebuilt iff the generation moved: one load and
-   one int compare on the steady path, shared between the flat fast path
-   and the FDD compiler. *)
+   one int compare on the flat fast path's steady state. *)
 let view t =
   match t.view with
   | Some v when v.v_gen = t.generation -> v
@@ -744,22 +743,6 @@ let view t =
     let v = build_view t in
     t.view <- Some v;
     v
-
-(* Entry-order scan of the whole contents (the FDD bakes exact tables as
-   match chains; keys are unique, so order is irrelevant). *)
-let scan_of_entries t =
-  Array.of_list
-    (List.map
-       (fun (e : entry) ->
-         {
-           fm_fields =
-             Array.of_list
-               (List.map2
-                  (fun (f : Key.field) m -> ffm_of_fmatch m f.Key.kf_width)
-                  t.e_fields e.matches);
-           fm_fe = fentry_of e;
-         })
-       t.entries)
 
 (* --- flat probes (per-packet; allocation-free) ------------------------ *)
 

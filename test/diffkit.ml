@@ -1,6 +1,6 @@
 (* Shared differential-testing kit.
 
-   The flat, fdd, virt and symdiff suites all prove the same shape of
+   The flat, virt and symdiff suites all prove the same shape of
    theorem — "two executions of the same pipeline agree on everything a
    packet traversal can observably produce" — and they used to each carry
    a private copy of the traffic generators and the device-twin plumbing.
@@ -8,11 +8,11 @@
 
    - the random packet builders ([build_packet] for the use-case spread,
      [mixed_packet] for the deterministic radius stream);
-   - device-twin boot helpers ([boot_pair] / [boot_triple]);
+   - the device-twin boot helper ([boot_pair]);
    - one observation type covering egress port, metadata bindings, wire
      bytes and cycle/lookup/parse accounting, with [observe] (context
-     path: the reference interpreter), [observe_flat] (batched flat path)
-     and [observe_fdd] (decision-diagram path) producing it;
+     path: the reference interpreter), [observe_traced] (the same with a
+     stage tracer) and [observe_flat] (batched flat path) producing it;
    - [assert_same_forwarding], the field-by-field comparison used by
      unit tests (QCheck properties compare observations structurally);
    - [to_alcotest], which threads a deterministic QCheck seed: runs are
@@ -89,17 +89,12 @@ let boot case =
 
 (* Identically booted twins: driven with the same packet sequence, the
    stateful hit counters of each advance in lockstep. Which path a twin
-   represents is decided by how it is observed ([observe_flat],
-   [observe_fdd] or the interpreter's [observe]), not by how it boots. *)
+   represents is decided by how it is observed ([observe_flat] or the
+   interpreter's [observe]), not by how it boots. *)
 let boot_pair case =
   let _, a = boot case in
   let _, b = boot case in
   (a, b)
-
-let boot_triple case =
-  let _, a = boot case in
-  let b, c = boot_pair case in
-  (a, b, c)
 
 (* --- virtualization twins ------------------------------------------------ *)
 
@@ -226,11 +221,6 @@ let observe_traced device bytes ~in_port : observation =
 let observe_flat device bytes ~in_port : observation =
   let pkt = Net.Packet.create ~in_port bytes in
   observation_of_result pkt (Ipsa.Device.inject_batch device [| pkt |]).(0)
-
-(* Same observable, via the compiled decision diagram. *)
-let observe_fdd device bytes ~in_port : observation =
-  let pkt = Net.Packet.create ~in_port bytes in
-  observation_of_result pkt (Ipsa.Device.inject_batch_fdd device [| pkt |]).(0)
 
 (* --- comparison --------------------------------------------------------- *)
 

@@ -1,9 +1,11 @@
 (* The zero-allocation batched fast path: the flat engine must be an
    exact behavioural twin of the reference interpreter for every bundled
-   use case, survive relinks with its ring records reused, and allocate
-   nothing per packet in steady state. The batch entry point's other
-   branches — the interpreter fallback of a design with a flat gap, and
-   buffering during an update — must match [inject] as well. *)
+   use case — on IPSA across in-situ patches and runtime table writes,
+   and on the PISA baseline — survive relinks with its ring records
+   reused, and allocate nothing per packet in steady state. The batch
+   entry point's other branches — the interpreter fallback of a design
+   with a flat gap, and buffering during an update — must match [inject]
+   as well. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -110,6 +112,130 @@ let test_batch_many () =
         expect_bytes
         (Net.Packet.contents batch.(i)))
     (List.combine specs byte_list)
+
+(* --- incremental state: patches and table writes on a live device ------- *)
+
+(* One flat device and one interpreter twin walk the whole in-situ patch
+   sequence (base, then C1, C2 and C3 applied on top of each other), with
+   traffic in between so table counters and flat caches move. *)
+let test_patch_sequence () =
+  let session_f, dev_f = Harness.Cases.boot_base () in
+  let session_i, dev_i = Harness.Cases.boot_base () in
+  List.iter
+    (fun (name, case) ->
+      (match case with
+      | None -> ()
+      | Some c ->
+        ignore (Harness.Cases.apply_case session_f c);
+        ignore (Harness.Cases.apply_case session_i c));
+      if not (Ipsa.Device.flat_ready dev_f) then
+        Alcotest.failf "%s: flat plan does not cover the pipeline" name;
+      for i = 0 to 15 do
+        let spec = (i mod 5, i, i mod 8) in
+        let bytes = Net.Packet.contents (build_packet spec) in
+        Diffkit.assert_same_forwarding
+          ~what:(Printf.sprintf "%s packet %d" name i)
+          (observe_flat dev_f bytes ~in_port:(i mod 8))
+          (observe_ctx dev_i bytes ~in_port:(i mod 8))
+      done)
+    Diffkit.cases
+
+(* Random runtime churn on the dmac table through the controller: after
+   every write, a frame to the churned MAC and one random packet must
+   leave the flat batch exactly as they leave the interpreter twin, so
+   the flat engine's per-table caches follow every generation bump. *)
+let table_churn_prop =
+  let fixture = lazy (Harness.Cases.boot_base (), Harness.Cases.boot_base ()) in
+  QCheck.Test.make ~count:30 ~name:"table add/del: flat batch = interpreter"
+    QCheck.(triple (int_range 0 15) bool Diffkit.packet_spec)
+    (fun (i, and_delete, spec) ->
+      let (session_f, dev_f), (session_i, dev_i) = Lazy.force fixture in
+      let mac = Printf.sprintf "02:00:00:00:9%x:%02x" (i land 0xF) i in
+      let run cmd =
+        List.iter
+          (fun s ->
+            match Controller.Session.run_script s cmd with
+            | Ok _ -> ()
+            | Error e -> QCheck.Test.fail_reportf "%s: %s" cmd e)
+          [ session_f; session_i ]
+      in
+      let frame = Net.Flowgen.make_flow ~dst_mac:(Net.Addr.Mac.of_string_exn mac) () in
+      let traffic () =
+        let in_port = i mod 8 in
+        let bridged = Net.Packet.contents (Net.Flowgen.l2 ~in_port frame) in
+        let o_f = observe_flat dev_f bridged ~in_port in
+        let _, _, in_port_r = spec in
+        let random = Net.Packet.contents (build_packet spec) in
+        ( o_f,
+          o_f = observe_ctx dev_i bridged ~in_port
+          && observe_flat dev_f random ~in_port:in_port_r
+             = observe_ctx dev_i random ~in_port:in_port_r )
+      in
+      run (Printf.sprintf "table_add dmac set_out_port 1 %s => %d" mac (i mod 8));
+      let (port, _, _, _), after_add = traffic () in
+      if port <> Some (i mod 8) then
+        QCheck.Test.fail_reportf "flat batch missed the new dmac entry %s" mac;
+      let after_del =
+        (not and_delete)
+        ||
+        (run (Printf.sprintf "table_del dmac 1 %s" mac);
+         snd (traffic ()))
+      in
+      after_add && after_del)
+
+(* --- PISA: flat batch = context interpreter ------------------------------ *)
+
+(* The P4 flow's base design on the PISA baseline, populated like
+   [Harness.Cases.pisa_case] populates the updated designs. *)
+let pisa_base () =
+  let prog = Rp4fc.Translate.translate (P4lite.Parser.parse_string Usecases.P4_base.source) in
+  let compiled =
+    match Rp4bc.Compile.compile_full ~pool:(Ipsa.Device.default_pool ()) prog with
+    | Ok c -> c
+    | Error errs -> Alcotest.failf "pisa base compile: %s" (String.concat "; " errs)
+  in
+  let device = Pisa.Device.create ~nstages:8 () in
+  (match Pisa.Deploy.install device compiled.Rp4bc.Compile.design with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "pisa base install: %s" e);
+  (match
+     Pisa.Deploy.populate device compiled.Rp4bc.Compile.design
+       Usecases.Base_l23.population
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "pisa base populate: %s" e);
+  device
+
+let pisa_boot = function
+  | None -> pisa_base ()
+  | Some c -> fst (Harness.Cases.pisa_case c)
+
+(* Twin PISA devices per use case: one forwards through [inject_batch]
+   (the path every PISA fabric hop takes), the other through [inject];
+   port, metadata, wire bytes and accounting must agree per packet. *)
+let pisa_equivalence_prop name case =
+  let devices =
+    lazy
+      (let dev_f = pisa_boot case and dev_i = pisa_boot case in
+       if not (Pisa.Device.flat_ready dev_f) then
+         Alcotest.failf "%s: pisa flat plan does not cover the design" name;
+       (dev_f, dev_i))
+  in
+  QCheck.Test.make ~count:Diffkit.equivalence_count
+    ~name:(name ^ ": pisa flat batch = interpreter")
+    Diffkit.packet_spec
+    (fun ((_, _, in_port) as spec) ->
+      let dev_f, dev_i = Lazy.force devices in
+      let bytes = Net.Packet.contents (build_packet spec) in
+      let pkt_f = Net.Packet.create ~in_port bytes in
+      let pkt_i = Net.Packet.create ~in_port bytes in
+      Diffkit.observation_of_result pkt_f (Pisa.Device.inject_batch dev_f [| pkt_f |]).(0)
+      = Diffkit.observation_of_ctx pkt_i (Pisa.Device.inject dev_i pkt_i))
+
+let pisa_equivalence_tests =
+  List.map
+    (fun (name, case) -> Diffkit.to_alcotest (pisa_equivalence_prop name case))
+    Diffkit.cases
 
 (* --- relink: the flat plan is rebuilt and the ring keeps its records ---- *)
 
@@ -267,6 +393,12 @@ let () =
           Alcotest.test_case "tm pass" `Quick test_tm_pass;
         ] );
       ("equivalence", equivalence_tests);
+      ( "incremental",
+        [
+          Alcotest.test_case "patch sequence" `Quick test_patch_sequence;
+          Diffkit.to_alcotest table_churn_prop;
+        ] );
+      ("pisa", pisa_equivalence_tests);
       ( "batch",
         [
           Alcotest.test_case "many-packet batch" `Quick test_batch_many;

@@ -10,7 +10,7 @@
      scenario);
    - the controller surface ([virtualize]/[devirtualize]/[pin] commands,
      protected-prefix auto-pinning, the [show_virt] report);
-   - observational equivalence: a virtualized device quad (fdd / flat /
+   - observational equivalence: a virtualized device trio (flat /
      interpreter / traced interpreter) stays in exact lockstep internally
      and agrees with a fully-resident twin on ports, metadata and bytes —
      under runtime table churn and forced whole-tier evictions. *)
@@ -247,30 +247,29 @@ let test_protected_prefixes_pinned () =
 
 (* --- observational equivalence ------------------------------------------- *)
 
-(* The virtualized quad must stay in exact lockstep (same tier state ->
+(* The virtualized trio must stay in exact lockstep (same tier state ->
    same modeled penalties on every path, with or without a per-packet
    tracer attached) and match a fully-resident reference on forwarding.
    Every 16th packet forces a whole-tier eviction cycle; every 24th
-   churns a dmac entry through the controller on all five devices. *)
+   churns a dmac entry through the controller on all four devices. *)
 let virt_equivalence_prop name case =
   let fixture =
     lazy
       (let s_r, dev_r = Diffkit.boot case in
-       let s_d, vd = Diffkit.boot case in
        let s_f, vf = Diffkit.boot case in
        let s_i, vi = Diffkit.boot case in
        let s_t, vt = Diffkit.boot case in
-       let devs = [ vd; vf; vi; vt ] in
+       let devs = [ vf; vi; vt ] in
        List.iter (fun d -> Diffkit.virtualize_all d ~pct:25) devs;
-       (dev_r, devs, [ s_r; s_d; s_f; s_i; s_t ]))
+       (dev_r, devs, [ s_r; s_f; s_i; s_t ]))
   in
   QCheck.Test.make ~count:Diffkit.equivalence_count
-    ~name:(name ^ ": virtualized quad = resident reference (forwarding)")
+    ~name:(name ^ ": virtualized trio = resident reference (forwarding)")
     Diffkit.packet_spec
     (fun ((_, idx, in_port) as spec) ->
       let dev_r, devs, sessions = Lazy.force fixture in
-      let vd, vf, vi, vt =
-        match devs with [ a; b; c; d ] -> (a, b, c, d) | _ -> assert false
+      let vf, vi, vt =
+        match devs with [ a; b; c ] -> (a, b, c) | _ -> assert false
       in
       (* Forced evictions: shrink every tier to (almost) nothing, then
          restore its capacity — resolutions must rebuild transparently. *)
@@ -299,14 +298,13 @@ let virt_equivalence_prop name case =
       end;
       let bytes = Net.Packet.contents (Diffkit.build_packet spec) in
       let o_r = Diffkit.observe dev_r bytes ~in_port in
-      let o_d = Diffkit.observe_fdd vd bytes ~in_port in
       let o_f = Diffkit.observe_flat vf bytes ~in_port in
       let o_i = Diffkit.observe vi bytes ~in_port in
       let o_t = Diffkit.observe_traced vt bytes ~in_port in
-      (* Exact lockstep inside the virtualized quad... *)
-      o_d = o_f && o_f = o_i && o_i = o_t
+      (* Exact lockstep inside the virtualized trio... *)
+      o_f = o_i && o_i = o_t
       (* ...forwarding-only agreement with the resident reference. *)
-      && Diffkit.same_forwarding o_d o_r)
+      && Diffkit.same_forwarding o_f o_r)
 
 let virt_equivalence_tests =
   List.map
